@@ -25,11 +25,14 @@
 // backends — the pool only cuts the harness's wall-clock by running
 // map/sort/reduce work from different simulated GPUs concurrently.
 //
-// -shards selects the DES engine sharding: 0 (default) runs the legacy
-// single event loop, N >= 1 runs the simulation as N coordinated engine
-// shards under conservative lookahead, and -1 uses one shard per simulated
-// node plus a scheduler hub. All shard counts >= 1 produce byte-identical
-// traces; `-exp engine` sweeps the knob and writes BENCH_engine.json.
+// -shards selects the DES engine sharding of the scheduled experiments
+// (multijob, online, slo, fleet): 0 (default) runs the single event loop,
+// N >= 1 runs the simulation as N coordinated engine shards under
+// conservative lookahead, and -1 uses one shard per simulated node plus a
+// scheduler hub. All shard counts >= 1 produce byte-identical traces.
+// Exclusive-job experiments always run on one engine. Host cost per mode
+// is measured by the repository benchmark (sched.stream_jobs_per_s.*; see
+// benchmark/README.md).
 //
 // -trace records every run on the virtual-time flight recorder and writes
 // the recording as Chrome trace-event JSON — open it in Perfetto
@@ -64,7 +67,7 @@ func main() {
 	phys := flag.Int("phys", 1<<16, "physical element budget per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "kernel-execution workers: 0 = serial, N = pool(N), -1 = pool(all cores)")
-	shards := flag.Int("shards", 0, "DES engine shards: 0 = legacy single engine, N = N shards, -1 = one per node")
+	shards := flag.Int("shards", 0, "DES engine shards for scheduled experiments (multijob|online|slo|fleet): 0 = single engine, N = N shards, -1 = one per node")
 	tracePath := flag.String("trace", "", "write the runs' flight recording as Chrome trace-event JSON (load in Perfetto)")
 	explain := flag.String("explain", "", "print phase breakdowns after the runs: a job name, or \"all\" (implies recording)")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile to this file")
@@ -172,14 +175,6 @@ func main() {
 			}
 			bench.RenderMultijob(out, rows, traces)
 			return nil
-		}},
-		{"engine", "sharded-engine wall-clock sweep (writes BENCH_engine.json)", func() error {
-			rows, err := bench.Engine(o)
-			if err != nil {
-				return err
-			}
-			bench.RenderEngine(out, rows)
-			return bench.WriteEngineJSON("BENCH_engine.json", rows)
 		}},
 		{"online", "open-system offered-load sweep: latency vs reject rate", func() error {
 			rows, err := bench.Online(o)

@@ -275,10 +275,9 @@ func (b *Built) Run() (perRank []map[uint32]tile, tr1, tr2 *core.Trace, err erro
 			VirtFactor:  1,
 			ValBytes:    b.Tv * b.Tv * 4,
 			DisableSort: true,
-			// The second pass runs on whatever execution backend, engine
-			// sharding, and flight recorder the first was configured with.
+			// The second pass runs on whatever execution backend and
+			// flight recorder the first was configured with.
 			Workers: b.Job1.Config.Workers,
-			Shards:  b.Job1.Config.Shards,
 			Obs:     b.Job1.Config.Obs,
 		},
 		Chunks:      chunks,

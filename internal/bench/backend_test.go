@@ -42,50 +42,43 @@ type backendRun struct {
 	trace  string
 }
 
-// diffApps is the app matrix shared by the backend differential harness
-// (sweeping workers at shards=0) and the engine-sharding differential
-// harness in engine_test.go (sweeping shards at workers=0). Each entry
-// runs one app at an explicit backend (workers) and engine (shards)
-// configuration and reports its canonical observables.
+// diffApps is the app matrix of the backend differential harness. Each
+// entry runs one app at an explicit backend (workers) and reports its
+// canonical observables.
 var diffApps = []struct {
 	name string
-	run  func(t *testing.T, gpus, workers, shards int) backendRun
+	run  func(t *testing.T, gpus, workers int) backendRun
 }{
-	{"wo", func(t *testing.T, gpus, workers, shards int) backendRun {
+	{"wo", func(t *testing.T, gpus, workers int) backendRun {
 		b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18})
 		b.Job.Config.Workers = workers
-		b.Job.Config.Shards = shards
 		res := b.Job.MustRun()
 		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
 	}},
-	{"sio", func(t *testing.T, gpus, workers, shards int) backendRun {
+	{"sio", func(t *testing.T, gpus, workers int) backendRun {
 		job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
 		job.Config.Workers = workers
-		job.Config.Shards = shards
 		res := job.MustRun()
 		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
 	}},
-	{"kmc", func(t *testing.T, gpus, workers, shards int) backendRun {
+	{"kmc", func(t *testing.T, gpus, workers int) backendRun {
 		b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12})
 		b.Job.Config.Workers = workers
-		b.Job.Config.Shards = shards
 		res := b.Job.MustRun()
 		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
 	}},
-	{"lr", func(t *testing.T, gpus, workers, shards int) backendRun {
+	{"lr", func(t *testing.T, gpus, workers int) backendRun {
 		b := lr.NewJob(lr.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12})
 		b.Job.Config.Workers = workers
-		b.Job.Config.Shards = shards
 		res := b.Job.MustRun()
 		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
 	}},
-	{"mm", func(t *testing.T, gpus, workers, shards int) backendRun {
+	{"mm", func(t *testing.T, gpus, workers int) backendRun {
 		b, err := mm.New(mm.Params{Dim: 1024, GPUs: gpus, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		b.Job1.Config.Workers = workers
-		b.Job1.Config.Shards = shards
 		perRank, tr1, tr2, err := b.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +98,7 @@ func TestBackendDifferentialMatrix(t *testing.T) {
 			for _, gpus := range []int{1, 4, 8} {
 				var want backendRun
 				for _, workers := range backendPoints() {
-					got := app.run(t, gpus, workers, 0)
+					got := app.run(t, gpus, workers)
 					if len(got.result) == 0 {
 						t.Fatalf("%d GPUs, %s: empty result", gpus, backendName(workers))
 					}

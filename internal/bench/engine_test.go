@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/apps/sio"
-	"repro/internal/fault"
 	"repro/internal/serve"
 )
 
-// shardPoints are the engine configurations the differential matrix pits
-// against each other: 0 (the legacy single event loop — the reference
-// semantics), 1 (a one-shard ShardSet — isolates the coordinator round
-// protocol with no cross-shard traffic), 2 (real cross-shard posts), and
-// -1 (one shard per node plus the hub, the widest decomposition).
-func shardPoints() []int { return []int{0, 1, 2, -1} }
+// shardPoints are the engine configurations the scheduled-run differential
+// tests pit against each other: 0 (the single event loop, whose schedule
+// legitimately differs — never a baseline here), 1 (a one-engine ShardSet:
+// the sharded scheduler's modeled posts with no cross-shard traffic), 2 and
+// 4 (real cross-shard posts), and -1 (one shard per node plus the hub, the
+// widest decomposition).
+func shardPoints() []int { return []int{0, 1, 2, 4, -1} }
 
 func shardPointName(shards int) string {
 	switch {
@@ -25,70 +24,6 @@ func shardPointName(shards int) string {
 		return "per-node"
 	default:
 		return fmt.Sprintf("shards(%d)", shards)
-	}
-}
-
-// TestShardDifferentialMatrix is the engine-layer counterpart of
-// TestBackendDifferentialMatrix: every app at 1, 4, and 8 GPUs must
-// produce byte-identical results and identical golden traces whether the
-// simulation runs on the legacy single engine or as a sharded set.
-// Exclusive jobs always collapse to one shard, so this pins the ShardSet
-// round protocol (coordinator loop, injection drain, future checks)
-// against the plain Engine.Run loop.
-func TestShardDifferentialMatrix(t *testing.T) {
-	for _, app := range diffApps {
-		t.Run(app.name, func(t *testing.T) {
-			for _, gpus := range []int{1, 4, 8} {
-				var want backendRun
-				for _, shards := range shardPoints() {
-					got := app.run(t, gpus, 0, shards)
-					if len(got.result) == 0 {
-						t.Fatalf("%d GPUs, %s: empty result", gpus, shardPointName(shards))
-					}
-					if shards == 0 {
-						want = got
-						continue
-					}
-					if !bytes.Equal(got.result, want.result) {
-						t.Errorf("%d GPUs: %s result bytes diverge from legacy engine", gpus, shardPointName(shards))
-					}
-					if got.trace != want.trace {
-						t.Errorf("%d GPUs: %s golden trace diverges from legacy engine:\n--- legacy\n%s\n--- %s\n%s",
-							gpus, shardPointName(shards), want.trace, shardPointName(shards), got.trace)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestShardDifferentialFaults reruns the fault-injection scenario (a
-// fail-stop mid-map plus a derated straggler with speculation) across
-// shard counts: recovery requeues, relays, and twin races must be
-// schedule-identical under the sharded coordinator.
-func TestShardDifferentialFaults(t *testing.T) {
-	run := func(shards int) backendRun {
-		job, _ := sio.NewJob(sio.Params{Elements: 8 << 20, GPUs: 8, Seed: 2, PhysMax: 1 << 13, ChunkCap: 1 << 20})
-		job.Config.GatherOutput = true
-		job.Config.Shards = shards
-		job.Config.Speculate = true
-		job.Config.Faults = &fault.Plan{Events: []fault.Event{
-			fault.FailAfterChunks(2, 2),
-			fault.SlowdownAfterChunks(5, 1, 8),
-		}}
-		res := job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
-	}
-	want := run(0)
-	for _, shards := range shardPoints()[1:] {
-		got := run(shards)
-		if !bytes.Equal(got.result, want.result) {
-			t.Errorf("%s fault-run result bytes diverge from legacy engine", shardPointName(shards))
-		}
-		if got.trace != want.trace {
-			t.Errorf("%s fault-run golden trace diverges from legacy engine:\n--- legacy\n%s\n--- got\n%s",
-				shardPointName(shards), want.trace, got.trace)
-		}
 	}
 }
 

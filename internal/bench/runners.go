@@ -40,9 +40,10 @@ type Options struct {
 	// negative = pool(GOMAXPROCS). Results are byte-identical across
 	// backends; only harness wall-clock changes.
 	Workers int
-	// Shards selects the DES engine sharding for every experiment's runs
-	// (see cluster.Config.Shards): 0 = legacy single engine, n >= 1 = a
-	// ShardSet of n engines, negative = one per node plus the hub.
+	// Shards selects the DES engine sharding for the scheduled experiments
+	// (multijob, online, slo, fleet; see cluster.Config.Shards): 0 = legacy
+	// single engine, n >= 1 = a ShardSet of n engines, negative = one per
+	// node plus the hub. Exclusive runs always use one engine.
 	Shards int
 	// Obs, when set, records every run's flight-recorder trace (see
 	// internal/obs). Recording does not perturb results: all rendered
@@ -78,7 +79,6 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 			return 0, nil, err
 		}
 		b.Job1.Config.Workers = o.Workers
-		b.Job1.Config.Shards = o.Shards
 		b.Job1.Config.Obs = o.Obs
 		_, tr1, tr2, err := b.Run()
 		if err != nil {
@@ -96,7 +96,6 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 	case "sio":
 		job, _ := sio.NewJob(sio.Params{Elements: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
 		job.Config.Workers = o.Workers
-		job.Config.Shards = o.Shards
 		job.Config.Obs = o.Obs
 		res, err := job.Run()
 		if err != nil {
@@ -106,7 +105,6 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 	case "wo":
 		b := wo.NewJob(wo.Params{Bytes: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget, DictSize: woDict(o)})
 		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Shards = o.Shards
 		b.Job.Config.Obs = o.Obs
 		res, err := b.Job.Run()
 		if err != nil {
@@ -116,7 +114,6 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 	case "kmc":
 		b := kmc.NewJob(kmc.Params{Points: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
 		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Shards = o.Shards
 		b.Job.Config.Obs = o.Obs
 		res, err := b.Job.Run()
 		if err != nil {
@@ -126,7 +123,6 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 	case "lr":
 		b := lr.NewJob(lr.Params{Points: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
 		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Shards = o.Shards
 		b.Job.Config.Obs = o.Obs
 		res, err := b.Job.Run()
 		if err != nil {

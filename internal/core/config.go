@@ -93,16 +93,6 @@ type Config struct {
 	// "Execution backends".
 	Workers int
 
-	// Shards selects how many DES engine shards drive an exclusive run:
-	// 0 keeps the legacy single-engine loop, n >= 1 runs a des.ShardSet
-	// of n engines, negative means one per cluster node plus a hub. An
-	// exclusive job is one gang, so it always executes on a single shard
-	// regardless of n — the knob exists so exclusive runs exercise the
-	// same dispatch path as scheduled runs and can be diffed against the
-	// legacy loop byte for byte. Scheduled runs take the shard count from
-	// the shared cluster.Config.Shards instead; see sched.Run.
-	Shards int
-
 	// StealMinQueue is the minimum number of queued chunks a victim
 	// should hold to justify a shift (default 2: don't rob a queue of
 	// its only chunk — its owner will finish it sooner locally). For
@@ -182,9 +172,6 @@ func (c Config) withDefaults() (Config, error) {
 		// The job-level knob flows into the machine it builds; an explicit
 		// cluster-level setting wins.
 		c.Cluster.Workers = c.Workers
-	}
-	if c.Cluster.Shards == 0 {
-		c.Cluster.Shards = c.Shards
 	}
 	if c.Cluster.Obs == nil {
 		c.Cluster.Obs = c.Obs

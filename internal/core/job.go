@@ -80,37 +80,15 @@ func (j *Job[V]) Run() (*Result[V], error) {
 	if err != nil {
 		return nil, err
 	}
-	var eng *des.Engine
-	var ss *des.ShardSet
-	if n := cfg.Cluster.ShardCount(); n > 0 {
-		// An exclusive job is one gang — one shard's worth of work — so
-		// any sharded run collapses to a single engine with no cross-shard
-		// edges. Going through ShardSet.Run anyway exercises the sharded
-		// dispatch path (post-aware stepping, coordinator shutdown checks)
-		// and is byte-identical to the legacy loop.
-		ss = des.NewShardSet(1)
-		eng = ss.Engine(0)
-	} else {
-		eng = des.NewEngine()
-	}
-	if r := cfg.Cluster.Obs; r.Enabled() {
-		if ss != nil {
-			ss.SetRecorder(r)
-		} else {
-			eng.SetRecorder(r)
-		}
-	}
+	eng := des.NewEngine()
+	eng.SetRecorder(cfg.Cluster.Obs)
 	cl := cluster.New(eng, *cfg.Cluster)
 	defer cl.Close()
 	var res *Result[V]
 	if _, err := j.launchOn(eng, cl, identityRanks(cfg.GPUs), func(r *Result[V]) { res = r }); err != nil {
 		return nil, err
 	}
-	if ss != nil {
-		ss.Run()
-	} else {
-		eng.Run()
-	}
+	eng.Run()
 	return res, nil
 }
 

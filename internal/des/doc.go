@@ -48,11 +48,25 @@
 //
 // Injector and Future rules. Injectors are the ONLY thread-safe boundary:
 // Inject and Close may be called from any foreign goroutine, and the
-// running engine (or ShardSet coordinator) applies injections between
-// event dispatches (between rounds, at the global frontier, for a
-// ShardSet). Futures are the join handles for host work dispatched outside
+// running engine (or the coordinator of a ShardSet of two or more)
+// applies injections between event dispatches (between rounds, at the
+// global frontier, for the coordinator). Futures are the join handles for host work dispatched outside
 // the simulation: NewFuture and Join must run on a process of the owning
 // engine, Complete/Fail on the worker; every future must be joined before
 // shutdown, and both Engine.Run and ShardSet.Run panic on leaks. See
 // DESIGN.md, "Sharded engine".
+//
+// # Boundary ordering
+//
+// Boundary work recorded at time T runs after every ordinary event at T,
+// live and replayed. Boundary work is whatever enters the simulation from
+// outside it: an injection, and the replay of one from a recording. Events
+// carry an ordering class for this — ties at one wake-up time go first to
+// ordinary events in scheduling order, then to boundary events in theirs —
+// so where boundary work lands depends only on the time it is stamped
+// with, never on how early its wake-up happened to be scheduled. Both
+// injector paths spawn in the boundary class; a replaying process reaches
+// each record with Proc.SleepLate, zero gaps included, so two records
+// stamped T are separated by the ordinary events the first one caused,
+// exactly as two injections at T are.
 package des

@@ -11,9 +11,15 @@ import (
 // event is a scheduled wake-up for a process.
 type event struct {
 	at   Time
-	seq  uint64
+	seq  uint64 // scheduling order, with lateBit set on boundary-class events
 	proc *Proc
 }
+
+// lateBit, set in an event's sequence number, puts it in the boundary
+// class: at its wake-up time it sorts after every ordinary event, whenever
+// either was scheduled (see doc.go, "Boundary ordering"). Carrying the
+// class in the sequence number keeps the heap comparison unchanged.
+const lateBit = 1 << 63
 
 type eventHeap []event
 
@@ -131,14 +137,15 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Spawn registers a new process whose body starts at the current simulated
 // time. It may be called before Run or from a running process.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.now, name, body)
+	return e.spawnAt(e.now, 0, name, body)
 }
 
-// spawnAt registers a new process whose body starts at time at (>= now).
-// It is how buffered cross-shard posts materialize: the post's delivery
-// time is in this engine's future, and the spawned process's first event
-// must carry that time, not the current frontier.
-func (e *Engine) spawnAt(at Time, name string, body func(p *Proc)) *Proc {
+// spawnAt registers a new process whose body starts at time at (>= now),
+// in ordering class class (0 or lateBit). It is how buffered cross-shard
+// posts materialize — the post's delivery time is in this engine's future,
+// and the spawned process's first event must carry that time, not the
+// current frontier — and how injections land in the boundary class.
+func (e *Engine) spawnAt(at Time, class uint64, name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
 	e.procs = append(e.procs, p)
 	e.live++
@@ -156,17 +163,17 @@ func (e *Engine) spawnAt(at Time, name string, body func(p *Proc)) *Proc {
 		p.ended = true
 		e.yield <- yieldMsg{proc: p, done: true, pnc: pnc}
 	}()
-	e.schedule(at, p)
+	e.schedule(at, class, p)
 	return p
 }
 
-// schedule queues a wake-up for p at time at.
-func (e *Engine) schedule(at Time, p *Proc) {
+// schedule queues a wake-up for p at time at in ordering class class.
+func (e *Engine) schedule(at Time, class uint64, p *Proc) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.queue.pushEvent(event{at: at, seq: e.seq, proc: p})
+	e.queue.pushEvent(event{at: at, seq: e.seq | class, proc: p})
 }
 
 // Park suspends the calling process indefinitely; another process must call
@@ -189,7 +196,7 @@ func (e *Engine) wake(p *Proc) {
 	}
 	p.parked = false
 	e.blocked--
-	e.schedule(e.now, p)
+	e.schedule(e.now, 0, p)
 }
 
 // park suspends the calling process with no scheduled wake-up; some other
@@ -203,11 +210,20 @@ func (p *Proc) park() {
 
 // Sleep suspends the calling process for d of simulated time. Negative
 // durations are treated as zero.
-func (p *Proc) Sleep(d Time) {
+func (p *Proc) Sleep(d Time) { p.sleep(d, 0) }
+
+// SleepLate is Sleep in the boundary class: the caller resumes at now+d
+// only after every ordinary event at that time has run, including ones
+// scheduled later than this call. A process replaying recorded boundary
+// work calls it before every record — zero gaps included — so the work
+// lands exactly where its injected original did.
+func (p *Proc) SleepLate(d Time) { p.sleep(d, lateBit) }
+
+func (p *Proc) sleep(d Time, class uint64) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p.eng.now+d, p)
+	p.eng.schedule(p.eng.now+d, class, p)
 	p.eng.yield <- yieldMsg{proc: p}
 	<-p.resume
 }
@@ -317,7 +333,7 @@ func (e *Engine) step() {
 			panic(fmt.Sprintf("des: post %q for t=%v applied behind the frontier t=%v (lookahead violation)",
 				po.name, po.at, e.now))
 		}
-		e.spawnAt(po.at, po.name, po.body)
+		e.spawnAt(po.at, 0, po.name, po.body)
 		return
 	}
 	ev := e.queue.popEvent()

@@ -34,7 +34,8 @@ type injMsg struct {
 // is what turns a batch simulation into a long-running service.
 //
 // Each injection spawns a fresh process at the frontier (the time of the
-// most recently dispatched event); the body runs with full engine access,
+// most recently dispatched event) in the boundary class, behind every
+// ordinary event at that time; the body runs with full engine access,
 // exactly as if it had been part of the simulation all along. Injections
 // are applied in submission order, between event dispatches, so they never
 // interleave with a running process.
@@ -114,7 +115,7 @@ func (e *Engine) applyInjection(m injMsg) {
 		// so these events never appear on a determinism-checked path.
 		e.rec.Emit(int64(e.now), obs.CatSim, "injector", "inject", obs.A("name", m.name))
 	}
-	e.Spawn(m.name, m.body)
+	e.spawnAt(e.now, lateBit, m.name, m.body)
 }
 
 // drainInjections applies every injection already queued, without blocking.

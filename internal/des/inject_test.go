@@ -227,3 +227,63 @@ func TestInjectorWhileBusy(t *testing.T) {
 		t.Fatalf("Run returned t=%v, want 100", end)
 	}
 }
+
+// TestBoundaryWorkRunsAfterOrdinaryTies pins the boundary-ordering
+// contract (doc.go): work injected while the engine sits at T, and its
+// replayed twin — a process whose wake-up for T was scheduled long before —
+// both run after every ordinary event at T, even one scheduled after they
+// were.
+func TestBoundaryWorkRunsAfterOrdinaryTies(t *testing.T) {
+	const T = 10
+
+	// Live. The driver holds the engine at T, yielding, until the injection
+	// has been applied (its process exists, queued at T), and only then
+	// spawns the ordinary process that sets the flag.
+	eng := NewEngine()
+	inj := eng.NewInjector()
+	set := false
+	var liveSaw bool
+	var liveAt Time
+	eng.Spawn("driver", func(p *Proc) {
+		p.Sleep(T)
+		go func() {
+			if err := inj.Inject("boundary", func(q *Proc) { liveSaw, liveAt = set, q.Now() }); err != nil {
+				t.Errorf("Inject: %v", err)
+			}
+			if err := inj.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+		for before := eng.live; eng.live == before; {
+			p.Yield() // back to the dispatch loop, which drains injections
+		}
+		eng.Spawn("setter", func(*Proc) { set = true })
+	})
+	eng.Run()
+	if !liveSaw || liveAt != T {
+		t.Errorf("injected work at t=%v saw flag=%v; want it at t=%v behind the ordinary setter", liveAt, liveSaw, Time(T))
+	}
+
+	// Replayed. Two records stamped T: the first must see the setter's
+	// effect although its wake-up is older, and the second — a zero gap —
+	// must see the ordinary event the first one caused.
+	eng = NewEngine()
+	set = false
+	var first, second bool
+	eng.Spawn("replay", func(p *Proc) {
+		p.SleepLate(T)
+		first = set && p.Now() == T
+		caused := false
+		eng.Spawn("caused", func(*Proc) { caused = true })
+		p.SleepLate(0)
+		second = caused && p.Now() == T
+	})
+	eng.Spawn("setter", func(p *Proc) {
+		p.Sleep(T)
+		set = true
+	})
+	eng.Run()
+	if !first || !second {
+		t.Errorf("replayed records at T ran ahead of ordinary events: first=%v second=%v", first, second)
+	}
+}

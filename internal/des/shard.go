@@ -257,20 +257,13 @@ func (ss *ShardSet) route() {
 	}
 }
 
-// NewInjector opens an injection handle served by the coordinator: the
-// sharded counterpart of Engine.NewInjector, with identical semantics.
-// Injected bodies spawn on the hub engine at the global frontier (the
-// maximum shard frontier), so their effects reach every other shard
-// strictly beyond any clock it has already passed. Must be called before
-// Run.
-func (ss *ShardSet) NewInjector() *Injector {
-	hub := ss.engines[0]
-	if hub.running {
-		panic("des: NewInjector while the shard set is running")
-	}
-	hub.openInj++
-	return &Injector{eng: hub}
-}
+// NewInjector opens an injection handle on the hub engine, served by
+// whichever loop Run uses: the sharded counterpart of Engine.NewInjector,
+// with identical semantics. Injected bodies spawn on the hub at the global
+// frontier (the maximum shard frontier), so their effects reach every
+// other shard strictly beyond any clock it has already passed. Must be
+// called before Run.
+func (ss *ShardSet) NewInjector() *Injector { return ss.engines[0].NewInjector() }
 
 // frontier returns the maximum shard clock — the global virtual time the
 // simulation has reached.
@@ -303,7 +296,7 @@ func (ss *ShardSet) applyInjection(m injMsg) {
 		// Live-mode-only, like the single-engine injection event.
 		ss.rec.Emit(int64(at), obs.CatSim, "injector", "inject", obs.A("name", m.name))
 	}
-	hub.spawnAt(at, m.name, m.body)
+	hub.spawnAt(at, lateBit, m.name, m.body)
 }
 
 // drainInjections applies every queued injection without blocking.
@@ -325,12 +318,20 @@ func (ss *ShardSet) drainInjections() {
 // still-live process means the whole simulation deadlocked, and Run panics
 // with the aggregated report the single-engine path would have produced.
 // Like Engine.Run it may be called once.
+//
+// A set of one engine has no neighbour to synchronize with, so it runs
+// Engine.Run, which already steps buffered posts and — unlike a
+// coordinator round, which would span the whole queue — admits injections
+// between dispatches.
 func (ss *ShardSet) Run() Time {
 	if ss.ran {
 		panic("des: ShardSet.Run called twice")
 	}
 	ss.ran = true
 	hub := ss.engines[0]
+	if len(ss.engines) == 1 {
+		return hub.Run()
+	}
 	for _, e := range ss.engines {
 		if e.running {
 			panic("des: ShardSet.Run over an engine already running")

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -42,55 +43,61 @@ func Merge(resps []serve.DrainResponse) string {
 // live drain would: the output must match the live fleet's merged
 // report byte for byte.
 func ReplayDir(dir string, opt serve.ReplayOptions) (string, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	paths, err := shardTraces(dir)
 	if err != nil {
 		return "", err
 	}
-	if len(paths) == 0 {
-		return "", fmt.Errorf("fleet: no shard traces (*.jsonl) in %s", dir)
-	}
-	sort.Strings(paths)
 	var resps []serve.DrainResponse
 	for _, p := range paths {
-		dr, err := replayTrace(p, opt)
+		h, rep, err := replayShard(p, opt, nil)
 		if err != nil {
-			return "", fmt.Errorf("fleet: replaying %s: %w", p, err)
+			return "", err
 		}
-		resps = append(resps, dr)
+		resps = append(resps, rep.DrainResponse(h.Shard, h.Epoch))
 	}
 	return Merge(resps), nil
 }
 
-// replayTrace replays one shard trace into the drain-response shape.
-func replayTrace(path string, opt serve.ReplayOptions) (serve.DrainResponse, error) {
+// shardTraces lists dir's shard arrival traces (*.jsonl) in path order.
+func shardTraces(dir string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("fleet: no shard traces (*.jsonl) in %s", dir)
+	}
+	sort.Strings(paths)
+	return paths, nil
+}
+
+// replayShard is the one offline walk over a shard arrival trace: read
+// it, name the shard, replay it. It returns the trace header with Shard
+// always set. With rec set the replay records into it under the prefix
+// "<shard>/" (the obs.SetPrefix multi-run seam).
+func replayShard(path string, opt serve.ReplayOptions, rec *obs.Recorder) (serve.Header, *serve.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return serve.DrainResponse{}, err
+		return serve.Header{}, nil, err
 	}
-	defer f.Close()
 	tr, err := serve.ReadTrace(f)
+	f.Close()
 	if err != nil {
-		return serve.DrainResponse{}, err
+		return serve.Header{}, nil, fmt.Errorf("fleet: reading %s: %w", path, err)
+	}
+	h := tr.Header
+	if h.Shard == "" {
+		// An unregistered shard's trace: fall back to the file name so the
+		// merge order is still deterministic.
+		h.Shard = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	}
+	if rec != nil {
+		rec.SetPrefix(h.Shard + "/")
+		opt.Obs = rec
 	}
 	rep, err := serve.Replay(tr, opt)
 	if err != nil {
-		return serve.DrainResponse{}, err
+		return serve.Header{}, nil, fmt.Errorf("fleet: replaying %s: %w", path, err)
 	}
-	shard := tr.Header.Shard
-	if shard == "" {
-		// An unregistered shard's trace: fall back to the file name so the
-		// merge order is still deterministic.
-		shard = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	}
-	s := rep.Stats
-	return serve.DrainResponse{
-		Shard: shard, Epoch: tr.Header.Epoch,
-		Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
-		Cancelled: s.Cancelled,
-		// Every reject class, matching the live handler's s.rejected() —
-		// SLO rejects included, or an SLO-shedding fleet's replay would
-		// drift from its live drain.
-		Rejected: s.RejectedShed + s.RejectedQuota + s.RejectedInvalid + s.RejectedSLO,
-		Report:   rep.String(),
-	}, nil
+	return h, rep, nil
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -106,34 +105,14 @@ func (rt *Router) WriteTimeline(w io.Writer) error {
 // seam), the router's recording is read back from RouterObsName when
 // present, and the merge is canonical.
 func StitchDir(dir string, opt serve.ReplayOptions) ([]obs.Event, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	paths, err := shardTraces(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("fleet: no shard traces (*.jsonl) in %s", dir)
-	}
-	sort.Strings(paths)
 	rec := obs.New()
 	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
+		if _, _, err := replayShard(p, opt, rec); err != nil {
 			return nil, err
-		}
-		tr, err := serve.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("fleet: reading %s: %w", p, err)
-		}
-		shard := tr.Header.Shard
-		if shard == "" {
-			shard = strings.TrimSuffix(filepath.Base(p), filepath.Ext(p))
-		}
-		rec.SetPrefix(shard + "/")
-		ropt := opt
-		ropt.Obs = rec
-		if _, err := serve.Replay(tr, ropt); err != nil {
-			return nil, fmt.Errorf("fleet: replaying %s: %w", p, err)
 		}
 	}
 	evs := rec.Canonical()

@@ -86,13 +86,16 @@ type jobRec struct {
 
 // Scheduler is the incremental admission engine: jobs are submitted to a
 // live engine one at a time, at the moment they arrive, rather than as a
-// closed batch known up front. Run is the batch wrapper; the online
-// serving layer (internal/serve) drives this API directly through the
-// engine's injection primitive. All methods must be called at engine time
-// (from a simulated process or an injected closure) — the Scheduler is
-// engine-confined state, not a thread-safe object.
+// closed batch known up front. It owns the simulation it schedules — New
+// builds the engine (or shard set) and the cluster from one
+// cluster.Config — so this package is the only place an engine mode is
+// chosen. The package-level Run is the batch wrapper; the online serving
+// layer (internal/serve) drives this API directly through NewInjector.
+// Apart from New, Run, NewInjector and Close, all methods must be called
+// at engine time (from a simulated process or an injected closure) — the
+// Scheduler is engine-confined state, not a thread-safe object.
 type Scheduler struct {
-	eng   *des.Engine
+	eng   *des.Engine // the hub: shard 0 of ss, or the only engine
 	cl    *cluster.Cluster
 	pol   Policy
 	free  []bool // by global rank
@@ -103,11 +106,18 @@ type Scheduler struct {
 	nRun    int
 	launchE error // first LaunchOn failure, reported after a batch run
 
-	// Sharded dispatch (nil ss = legacy same-engine launches). See
-	// EnableSharding.
+	// Sharded dispatch (nil ss = same-engine launches): jobs are homed on
+	// engines 1..N-1 by their gang's lowest node ID (all on the hub when
+	// N = 1), launched through a hub->home post carrying launchLat (the
+	// job dispatch overhead — MPI wireup plus context creation — which
+	// doubles as the outbound lookahead) and completed through a
+	// home->hub post carrying doneLat (one fabric latency). Sharded
+	// placement leases whole nodes, so concurrent gangs never share a
+	// NIC, a PCIe link, or a host CPU: surplus ranks on a gang's last
+	// node stay idle until the job finishes.
 	ss        *des.ShardSet
-	launchLat des.Time // hub -> gang shard: job launch overhead
-	doneLat   des.Time // gang shard -> hub: completion notification
+	launchLat des.Time
+	doneLat   des.Time
 
 	// OnStart, if set, fires when a job is placed on its gang; OnDone
 	// fires after its gang is released — with the job's trace, or with a
@@ -121,57 +131,64 @@ type Scheduler struct {
 	OnRequeue func(id int, cancelled bool)
 }
 
-// NewScheduler prepares an incremental scheduler for a shared engine and
-// cluster. The policy is validated here; submissions are validated one by
-// one as they arrive.
-func NewScheduler(eng *des.Engine, cl *cluster.Cluster, pol Policy) (*Scheduler, error) {
-	if err := pol.Validate(cl.Ranks()); err != nil {
+// New builds the simulated machine cc describes — one engine, or the
+// shard set cc.ShardCount() asks for, with cc.Obs attached — and an
+// incremental scheduler over it under pol. Cluster errors wrap
+// ErrBadCluster; submissions are validated one by one as they arrive.
+// The caller must Close the scheduler once Run has returned.
+func New(cc cluster.Config, pol Policy) (*Scheduler, error) {
+	if err := cc.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadCluster, err)
+	}
+	if err := pol.Validate(cc.GPUs); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{
-		eng:   eng,
-		cl:    cl,
-		pol:   pol,
-		free:  make([]bool, cl.Ranks()),
-		nFree: cl.Ranks(),
-	}
+	s := &Scheduler{pol: pol, free: make([]bool, cc.GPUs), nFree: cc.GPUs}
 	for r := range s.free {
 		s.free[r] = true
 	}
+	if n := cc.ShardCount(); n > 0 {
+		s.ss = des.NewShardSet(n)
+		s.ss.SetRecorder(cc.Obs)
+		s.eng = s.ss.Engine(0)
+		s.launchLat, s.doneLat = cc.Launch(), cc.Fabric.Latency
+		for k := 1; k < n; k++ {
+			s.ss.DeclareEdge(0, k, s.launchLat)
+			s.ss.DeclareEdge(k, 0, s.doneLat)
+		}
+	} else {
+		s.eng = des.NewEngine()
+		s.eng.SetRecorder(cc.Obs)
+	}
+	s.cl = cluster.New(s.eng, cc)
 	return s, nil
 }
+
+// Engine returns the hub engine: where arrivals, the admission scan and
+// every scheduler hook run.
+func (s *Scheduler) Engine() *des.Engine { return s.eng }
+
+// Cluster returns the simulated machine.
+func (s *Scheduler) Cluster() *cluster.Cluster { return s.cl }
+
+// NewInjector opens an injection handle on the hub. Must be called
+// before Run.
+func (s *Scheduler) NewInjector() *des.Injector { return s.eng.NewInjector() }
+
+// Run drives the simulation to completion and returns the makespan.
+func (s *Scheduler) Run() des.Time {
+	if s.ss != nil {
+		return s.ss.Run()
+	}
+	return s.eng.Run()
+}
+
+// Close releases the cluster's kernel-execution backend.
+func (s *Scheduler) Close() { s.cl.Close() }
 
 // hubKey is the stable post-ordering identity of the scheduler hub itself;
 // gangs use their lowest node ID, which is always >= 0.
 const hubKey = -1
-
-// EnableSharding switches the scheduler to sharded dispatch over ss, whose
-// hub engine (shard 0) must be the engine the scheduler was built on. Jobs
-// are then homed on engines 1..N-1 by their gang's lowest node ID (all on
-// the hub when N = 1), launched through a hub->home post carrying `launch`
-// (the job dispatch overhead — MPI wireup plus context creation — which
-// doubles as the outbound lookahead) and completed through a home->hub post
-// carrying `done` (one fabric latency). Sharded placement leases whole
-// nodes, so concurrent gangs never share a NIC, a PCIe link, or a host CPU:
-// surplus ranks on a gang's last node stay idle until the job finishes.
-// Must be called before any submission.
-func (s *Scheduler) EnableSharding(ss *des.ShardSet, launch, done des.Time) {
-	if ss.Engine(0) != s.eng {
-		panic("sched: EnableSharding needs the scheduler on the shard set's hub engine")
-	}
-	if len(s.recs) > 0 {
-		panic("sched: EnableSharding after submissions")
-	}
-	if launch <= 0 || done <= 0 {
-		panic("sched: sharded dispatch needs positive launch and done latencies")
-	}
-	s.ss = ss
-	s.launchLat, s.doneLat = launch, done
-	for k := 1; k < ss.Shards(); k++ {
-		ss.DeclareEdge(0, k, launch)
-		ss.DeclareEdge(k, 0, done)
-	}
-}
 
 // homeOf picks the engine a gang runs on: a stable function of the gang's
 // lowest node ID, so the assignment — and with it every post stamp — does
@@ -397,61 +414,30 @@ func (s *Scheduler) Trace(makespan des.Time) *ClusterTrace {
 // and returns the cluster-level trace. Everything is deterministic: the
 // same cluster, policy, and submissions produce a bit-identical trace.
 func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) {
-	if err := cc.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCluster, err)
-	}
-	if err := pol.Validate(cc.GPUs); err != nil {
-		return nil, err
-	}
-	if err := validateSpecs(specs, cc.GPUs); err != nil {
-		return nil, err
-	}
-
-	var eng *des.Engine
-	var ss *des.ShardSet
-	if n := cc.ShardCount(); n > 0 {
-		ss = des.NewShardSet(n)
-		eng = ss.Engine(0)
-	} else {
-		eng = des.NewEngine()
-	}
-	if cc.Obs.Enabled() {
-		if ss != nil {
-			ss.SetRecorder(cc.Obs)
-		} else {
-			eng.SetRecorder(cc.Obs)
-		}
-	}
-	cl := cluster.New(eng, cc)
-	defer cl.Close()
-	s, err := NewScheduler(eng, cl, pol)
+	s, err := New(cc, pol)
 	if err != nil {
 		return nil, err
 	}
-	if ss != nil {
-		s.EnableSharding(ss, cc.Launch(), cc.Fabric.Latency)
+	defer s.Close()
+	if err := validateSpecs(specs, cc.GPUs); err != nil {
+		return nil, err
 	}
 	for _, sp := range specs {
 		s.register(sp)
 	}
 	// Arrivals enter the queue in time order; submission order breaks
-	// ties, so the stream is reproducible.
+	// ties, so the stream is reproducible. They are boundary work
+	// (des/doc.go, "Boundary ordering"), landing where a live injection or
+	// a replayed record stamped with the same time does.
 	arrivals := append([]*jobRec(nil), s.recs...)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].arrival < arrivals[j].arrival })
-	eng.Spawn("sched.arrivals", func(p *des.Proc) {
+	s.eng.Spawn("sched.arrivals", func(p *des.Proc) {
 		for _, rec := range arrivals {
-			if d := rec.arrival - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
+			p.SleepLate(rec.arrival - p.Now())
 			s.arrive(rec)
 		}
 	})
-	var makespan des.Time
-	if ss != nil {
-		makespan = ss.Run()
-	} else {
-		makespan = eng.Run()
-	}
+	makespan := s.Run()
 	if s.launchE != nil {
 		return nil, s.launchE
 	}

@@ -459,13 +459,11 @@ func TestMinGangValidation(t *testing.T) {
 		t.Errorf("MinGang 20 on 16 ranks: err=%v, want ErrGangTooBig", err)
 	}
 	// Same paths through the incremental API.
-	eng := des.NewEngine()
-	cl := cluster.New(eng, cc16())
-	defer cl.Close()
-	s, err := NewScheduler(eng, cl, Policy{Kind: WeightedFair})
+	s, err := New(cc16(), Policy{Kind: WeightedFair})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if _, err := s.Register(JobSpec{Job: makeJob("m", 8, 4, 64), MinGang: 9}); !errors.Is(err, ErrBadMinGang) {
 		t.Errorf("incremental MinGang 9 of 8: err=%v, want ErrBadMinGang", err)
 	}
@@ -478,13 +476,11 @@ func TestMinGangValidation(t *testing.T) {
 // at engine time, lifecycle hooks, cancellation of a queued job, and the
 // cancelled job's absence from the trace.
 func TestIncrementalSubmitCancel(t *testing.T) {
-	eng := des.NewEngine()
-	cl := cluster.New(eng, cc16())
-	defer cl.Close()
-	s, err := NewScheduler(eng, cl, Policy{Kind: FIFOExclusive})
+	s, err := New(cc16(), Policy{Kind: FIFOExclusive})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	var started, done []int
 	s.OnStart = func(id int, gang []int) { started = append(started, id) }
 	s.OnDone = func(id int, tr *core.Trace, err error) {
@@ -493,7 +489,7 @@ func TestIncrementalSubmitCancel(t *testing.T) {
 		}
 		done = append(done, id)
 	}
-	eng.Spawn("driver", func(p *des.Proc) {
+	s.Engine().Spawn("driver", func(p *des.Proc) {
 		id0, err := s.Submit(JobSpec{Job: makeJob("first", 8, 8, 256)})
 		if err != nil {
 			t.Errorf("submit first: %v", err)
@@ -522,7 +518,7 @@ func TestIncrementalSubmitCancel(t *testing.T) {
 			t.Error("cancelled an unknown id")
 		}
 	})
-	makespan := eng.Run()
+	makespan := s.Run()
 	ct := s.Trace(makespan)
 	if len(ct.Jobs) != 1 || ct.Jobs[0].Name != "first" {
 		t.Fatalf("trace should hold only the uncancelled job: %v", ct.String())

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/des"
 )
@@ -303,13 +302,11 @@ func TestElasticGrowBack(t *testing.T) {
 // chunk boundary, OnRequeue(id, true) fires instead of OnDone, and the
 // job is excluded from the trace like any cancelled submission.
 func TestPreemptCancelRunningJob(t *testing.T) {
-	eng := des.NewEngine()
-	cl := cluster.New(eng, cc16())
-	defer cl.Close()
-	s, err := NewScheduler(eng, cl, Policy{Kind: WeightedFair, Preempt: true})
+	s, err := New(cc16(), Policy{Kind: WeightedFair, Preempt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	var requeued []int
 	var requeueCancelled []bool
 	var done []int
@@ -318,7 +315,7 @@ func TestPreemptCancelRunningJob(t *testing.T) {
 		requeueCancelled = append(requeueCancelled, cancelled)
 	}
 	s.OnDone = func(id int, tr *core.Trace, err error) { done = append(done, id) }
-	eng.Spawn("driver", func(p *des.Proc) {
+	s.Engine().Spawn("driver", func(p *des.Proc) {
 		id, err := s.Submit(JobSpec{Job: makeJob("victim", 8, 16, 512)})
 		if err != nil {
 			t.Errorf("submit: %v", err)
@@ -338,15 +335,15 @@ func TestPreemptCancelRunningJob(t *testing.T) {
 			t.Error("PreemptCancel accepted an unknown id")
 		}
 	})
-	makespan := eng.Run()
+	makespan := s.Run()
 	if len(requeued) != 1 || requeued[0] != 0 || !requeueCancelled[0] {
 		t.Fatalf("OnRequeue: ids %v cancelled %v, want [0]/[true]", requeued, requeueCancelled)
 	}
 	if len(done) != 0 {
 		t.Errorf("OnDone fired for a preempt-cancelled job: %v", done)
 	}
-	if s.FreeRanks() != cl.Ranks() {
-		t.Errorf("gang not released: %d free of %d", s.FreeRanks(), cl.Ranks())
+	if s.FreeRanks() != s.Cluster().Ranks() {
+		t.Errorf("gang not released: %d free of %d", s.FreeRanks(), s.Cluster().Ranks())
 	}
 	if ct := s.Trace(makespan); len(ct.Jobs) != 0 {
 		t.Errorf("preempt-cancelled job still in trace: %v", ct.String())

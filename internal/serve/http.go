@@ -53,6 +53,19 @@ type DrainResponse struct {
 	Report    string `json:"report"`
 }
 
+// DrainResponse summarizes a drained (or replayed) report as shard's drain
+// answer. The live handler and fleet's offline replay both go through it,
+// so their counters cannot drift apart.
+func (r *Report) DrainResponse(shard string, epoch int) DrainResponse {
+	s := &r.Stats
+	return DrainResponse{
+		Shard: shard, Epoch: epoch,
+		Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
+		Cancelled: s.Cancelled, Rejected: s.rejected(),
+		Report: r.String(),
+	}
+}
+
 // FleetRegistration is the router→shard registration handshake body.
 type FleetRegistration struct {
 	Shard string `json:"shard"`
@@ -301,14 +314,7 @@ func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
 			h.drainErr = err
 			return
 		}
-		shard, epoch := h.sv.FleetID()
-		s := rep.Stats
-		h.drainResp = DrainResponse{
-			Shard: shard, Epoch: epoch,
-			Submitted: s.Submitted, Done: s.Done, Failed: s.Failed,
-			Cancelled: s.Cancelled, Rejected: s.rejected(),
-			Report: rep.String(),
-		}
+		h.drainResp = rep.DrainResponse(h.sv.FleetID())
 		if h.cfg.OnDrain != nil {
 			// On a fresh goroutine: the host's shutdown path may wait for
 			// this very handler to return.

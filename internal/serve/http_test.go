@@ -222,15 +222,25 @@ func TestOutputRetentionEviction(t *testing.T) {
 
 // TestGracefulShutdownRace is the drain-correctness proof for the
 // daemon's signal path: submissions racing a graceful shutdown either
-// get a terminal HTTP answer (202/429/503) or fail at dial time
-// (listener already closed) — never a connection reset mid-request.
+// get a terminal HTTP answer (202/429/503) or never reach the server —
+// a refused dial, or a connection the kernel had queued but the server
+// had not accepted when the listener closed — never a reset on a
+// connection the server took.
 func TestGracefulShutdownRace(t *testing.T) {
 	sv := startTestServer(t, Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := &http.Server{Handler: NewHandler(sv, HandlerConfig{Logf: quietLogf})}
+	var accepted sync.Map // client address of every connection the server took
+	srv := &http.Server{
+		Handler: NewHandler(sv, HandlerConfig{Logf: quietLogf}),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				accepted.Store(c.RemoteAddr().String(), true)
+			}
+		},
+	}
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 
@@ -258,9 +268,15 @@ func TestGracefulShutdownRace(t *testing.T) {
 					Params: Params{"bytes": 1 << 20, "gpus": 2, "seed": int64(g*1000 + i + 1)}})
 				resp, err := client.Post(base+"/jobs", "application/json", bytes.NewReader(b))
 				if err != nil {
-					// Only a refused dial is acceptable: the listener is gone.
+					// Acceptable only if the server never took the connection:
+					// the listener is gone, or closed over its backlog.
 					var opErr *net.OpError
-					if !errors.As(err, &opErr) || opErr.Op != "dial" {
+					unserved := errors.As(err, &opErr) && opErr.Op == "dial"
+					if !unserved && opErr != nil && opErr.Source != nil {
+						_, took := accepted.Load(opErr.Source.String())
+						unserved = !took
+					}
+					if !unserved {
 						mu.Lock()
 						badErrs = append(badErrs, err)
 						mu.Unlock()

@@ -298,10 +298,9 @@ func (c Config) quotaFor(tenant string) int {
 // publishes job records and stats to foreign reader goroutines (HTTP).
 type session struct {
 	cfg Config
-	eng *des.Engine   // the hub engine (shard 0 when sharded)
-	ss  *des.ShardSet // nil = single-engine run
-	cl  *cluster.Cluster
 	sch *sched.Scheduler
+	eng *des.Engine      // sch's hub engine
+	cl  *cluster.Cluster // sch's cluster
 	rec *TraceWriter
 
 	mu       sync.Mutex
@@ -329,39 +328,15 @@ func newSession(cfg Config) (*session, error) {
 	if cfg.Catalog == nil {
 		return nil, errors.New("serve: config needs a Catalog")
 	}
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
-	var eng *des.Engine
-	var ss *des.ShardSet
-	if n := cfg.Cluster.ShardCount(); n > 0 {
-		ss = des.NewShardSet(n)
-		eng = ss.Engine(0)
-	} else {
-		eng = des.NewEngine()
-	}
-	if cfg.Cluster.Obs.Enabled() {
-		if ss != nil {
-			ss.SetRecorder(cfg.Cluster.Obs)
-		} else {
-			eng.SetRecorder(cfg.Cluster.Obs)
-		}
-	}
-	cl := cluster.New(eng, cfg.Cluster)
-	sch, err := sched.NewScheduler(eng, cl, cfg.Policy)
+	sch, err := sched.New(cfg.Cluster, cfg.Policy)
 	if err != nil {
-		cl.Close()
 		return nil, err
-	}
-	if ss != nil {
-		sch.EnableSharding(ss, cfg.Cluster.Launch(), cfg.Cluster.Fabric.Latency)
 	}
 	ses := &session{
 		cfg:      cfg,
-		eng:      eng,
-		ss:       ss,
-		cl:       cl,
 		sch:      sch,
+		eng:      sch.Engine(),
+		cl:       sch.Cluster(),
 		inflight: make(map[string]int),
 		serveOf:  make(map[int]int),
 		outputs:  make(map[int]string),
@@ -376,23 +351,6 @@ func newSession(cfg Config) (*session, error) {
 	sch.OnDone = ses.onDone
 	sch.OnRequeue = ses.onRequeue
 	return ses, nil
-}
-
-// run drives the session's engine (or shard set) to completion.
-func (ses *session) run() des.Time {
-	if ses.ss != nil {
-		return ses.ss.Run()
-	}
-	return ses.eng.Run()
-}
-
-// newInjector opens the session's injection boundary, served by whichever
-// dispatcher (engine or shard coordinator) will run.
-func (ses *session) newInjector() *des.Injector {
-	if ses.ss != nil {
-		return ses.ss.NewInjector()
-	}
-	return ses.eng.NewInjector()
 }
 
 // tenantStats returns (creating) one tenant's counters. Callers hold mu.
@@ -861,15 +819,15 @@ func Start(cfg Config) (*Server, error) {
 	}
 	sv := &Server{
 		ses:     ses,
-		inj:     ses.newInjector(),
+		inj:     ses.sch.NewInjector(),
 		base:    time.Now(),
 		scale:   cfg.TimeScale,
 		runDone: make(chan struct{}),
 	}
 	go func() {
 		defer close(sv.runDone)
-		sv.makespan = ses.run()
-		ses.cl.Close()
+		sv.makespan = ses.sch.Run()
+		ses.sch.Close()
 	}()
 	return sv, nil
 }
@@ -892,7 +850,7 @@ func (sv *Server) Submit(req Request) (JobInfo, error) {
 	ch := make(chan JobInfo, 1)
 	err := sv.inj.Inject("serve.arrival", func(p *des.Proc) {
 		if d := vt - p.Now(); d > 0 {
-			p.Sleep(d)
+			p.SleepLate(d)
 		}
 		ch <- sv.ses.arrive(p.Now(), req)
 	})
@@ -1121,13 +1079,13 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	defer ses.cl.Close()
+	defer ses.sch.Close()
 	events := tr.Events
 	ses.eng.Spawn("serve.replay", func(p *des.Proc) {
 		for _, ev := range events {
-			if d := ev.at() - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
+			// Every record, zero gaps included: the recorded work was
+			// injected (des/doc.go, "Boundary ordering").
+			p.SleepLate(ev.at() - p.Now())
 			if a := ev.Arrive; a != nil {
 				info := ses.arrive(p.Now(), Request{Tenant: a.Tenant, Kind: a.Kind,
 					Params: a.Params, Weight: a.Weight, MinGang: a.MinGang, Tag: a.Tag,
@@ -1141,6 +1099,5 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 			}
 		}
 	})
-	makespan := ses.run()
-	return ses, makespan, nil
+	return ses, ses.sch.Run(), nil
 }
