@@ -71,9 +71,6 @@ func main() {
 	shards := flag.Int("shards", 0, "DES engine shards (see gpmrbench -shards)")
 	phys := flag.Int("phys", 1<<16, "physical element budget per job")
 	keep := flag.Int("keep-outputs", 16, "retain canonical outputs of the N most recent completed jobs (0 = off)")
-	shardID := flag.String("shard-id", "", "fleet shard identity (normally stamped by gpmrfleet registration)")
-	ringEpoch := flag.Int("ring-epoch", 0, "fleet ring epoch joined at (with -shard-id)")
-	jobTable := flag.String("jobtable", "", "append the final job table (JSONL) to this file at drain")
 	tracePath := flag.String("trace", "", "record the arrival trace to this file (JSONL)")
 	replayPath := flag.String("replay", "", "replay a recorded trace offline and print the report")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. 127.0.0.1:8374)")
@@ -96,14 +93,38 @@ func main() {
 		}
 		return
 	}
-	opts := liveOptions{
-		addr: *addr, gpus: *gpus, perNode: *perNode, policy: *policy, share: *share,
-		queue: *queue, quota: *quota, scale: *scale, workers: *workers, shards: *shards,
-		phys: *phys, keepOutputs: *keep, shardID: *shardID, ringEpoch: *ringEpoch,
-		jobTable: *jobTable, tracePath: *tracePath, grace: *grace,
-		reserve: *reserve, preempt: *preempt, elastic: *elastic,
+	kind, err := sched.ParsePolicyKind(*policy)
+	if err != nil {
+		log.Fatalf("gpmrd: %v", err)
 	}
-	if err := live(opts); err != nil {
+	pol := sched.Policy{Kind: kind, Reserve: *reserve, Preempt: *preempt, Elastic: *elastic}
+	if kind == sched.FixedShare {
+		// Only fixed-share reads the cap; recording it under any other
+		// policy would put a knob in the trace header the operator never set.
+		pol.Share = *share
+	}
+	if err := pol.Validate(*gpus); err != nil {
+		log.Fatalf("gpmrd: %v", err)
+	}
+	cc := cluster.DefaultConfig(*gpus)
+	if *perNode > 0 {
+		cc.GPUsPerNode = *perNode
+	}
+	cc.Workers = *workers
+	cc.Shards = *shards
+	// The live daemon always carries a flight recorder: it feeds the
+	// per-job timeline endpoint and recording never perturbs virtual time.
+	cc.Obs = obs.New()
+	cfg := serve.Config{
+		Cluster:     cc,
+		Policy:      pol,
+		Catalog:     serve.DefaultCatalog(*phys),
+		MaxQueue:    *queue,
+		Quota:       *quota,
+		TimeScale:   *scale,
+		KeepOutputs: *keep,
+	}
+	if err := live(cfg, *addr, *tracePath, *grace); err != nil {
 		log.Fatalf("gpmrd: %v", err)
 	}
 }
@@ -125,15 +146,6 @@ func replay(path string, workers, shards int) error {
 	}
 	fmt.Print(rep.String())
 	return nil
-}
-
-// parsePolicy maps the flag onto a sched.Policy.
-func parsePolicy(name string, share int) (sched.Policy, error) {
-	k, err := sched.ParsePolicyKind(name)
-	if err != nil {
-		return sched.Policy{}, err
-	}
-	return sched.Policy{Kind: k, Share: share}, nil
 }
 
 // lazyFile defers file creation to the first write, so a daemon that
@@ -165,48 +177,14 @@ func (l *lazyFile) Close() error {
 	return l.f.Close()
 }
 
-type liveOptions struct {
-	addr, policy, shardID, jobTable, tracePath    string
-	gpus, perNode, share, queue, quota            int
-	workers, shards, phys, keepOutputs, ringEpoch int
-	reserve, preempt, elastic                     bool
-	scale                                         float64
-	grace                                         time.Duration
-}
-
-func live(o liveOptions) error {
-	pol, err := parsePolicy(o.policy, o.share)
-	if err != nil {
-		return err
-	}
-	pol.Reserve, pol.Preempt, pol.Elastic = o.reserve, o.preempt, o.elastic
-	if err := pol.Validate(o.gpus); err != nil {
-		return err
-	}
-	cc := cluster.DefaultConfig(o.gpus)
-	if o.perNode > 0 {
-		cc.GPUsPerNode = o.perNode
-	}
-	cc.Workers = o.workers
-	cc.Shards = o.shards
-	// The live daemon always carries a flight recorder: it feeds the
-	// per-job timeline endpoint and recording never perturbs virtual time.
-	cc.Obs = obs.New()
-
-	cfg := serve.Config{
-		Cluster:     cc,
-		Policy:      pol,
-		Catalog:     serve.DefaultCatalog(o.phys),
-		MaxQueue:    o.queue,
-		Quota:       o.quota,
-		TimeScale:   o.scale,
-		KeepOutputs: o.keepOutputs,
-	}
+// live serves cfg on addr until a signal or POST /drain, then drains and
+// prints the report.
+func live(cfg serve.Config, addr, tracePath string, grace time.Duration) error {
 	var traceF *lazyFile
-	if o.tracePath != "" {
+	if tracePath != "" {
 		// Lazily created on the first trace write — which can only happen
 		// once Start has succeeded — and closed on every exit path.
-		traceF = &lazyFile{path: o.tracePath}
+		traceF = &lazyFile{path: tracePath}
 		cfg.TraceW = traceF
 		defer func() {
 			if err := traceF.Close(); err != nil {
@@ -218,21 +196,15 @@ func live(o liveOptions) error {
 	if err != nil {
 		return err
 	}
-	if o.shardID != "" {
-		if err := sv.SetFleet(o.shardID, o.ringEpoch); err != nil {
-			return err
-		}
-	}
-
 	// The drain endpoint and POSIX signals converge on one stop channel;
 	// either way the listener shuts down gracefully before sv.Drain, so
 	// accepted submissions reach the admission path and get answers.
 	stop := make(chan struct{})
 	h := serve.NewHandler(sv, serve.HandlerConfig{OnDrain: func() { close(stop) }})
-	srv := &http.Server{Addr: o.addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("gpmrd: serving %d GPUs (%d/node) under %s on %s", o.gpus, cc.GPUsPerNode, pol.Kind, o.addr)
+	log.Printf("gpmrd: serving %d GPUs (%d/node) under %s on %s", cfg.Cluster.GPUs, cfg.Cluster.GPUsPerNode, cfg.Policy.Kind, addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -247,7 +219,7 @@ func live(o liveOptions) error {
 	// Graceful shutdown: stop accepting connections but let in-flight
 	// requests finish (a racing POST /jobs gets its 202/429/503, never a
 	// connection reset). srv.Close would abort them mid-write.
-	ctx, cancel := context.WithTimeout(context.Background(), o.grace)
+	ctx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("gpmrd: http shutdown: %v", err)
@@ -257,29 +229,10 @@ func live(o liveOptions) error {
 		return err
 	}
 	if traceF != nil {
-		log.Printf("gpmrd: arrival trace written to %s", o.tracePath)
-	}
-	if o.jobTable != "" {
-		if err := writeJobTable(sv, o.jobTable); err != nil {
-			log.Printf("gpmrd: writing job table: %v", err)
-		}
+		log.Printf("gpmrd: arrival trace written to %s", tracePath)
 	}
 	// The report is the only thing on stdout: a replay of the recorded
 	// trace must print byte-identical text.
 	fmt.Print(rep.String())
 	return nil
-}
-
-// writeJobTable appends the drained job table to path, preserving prior
-// incarnations' records — the restartable history a shard leaves behind.
-func writeJobTable(sv *serve.Server, path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := sv.WriteJobTable(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

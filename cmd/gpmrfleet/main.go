@@ -76,7 +76,6 @@ func main() {
 	var shards shardFlags
 	flag.Var(&shards, "shard", "shard as id=url (repeatable)")
 	addr := flag.String("addr", "127.0.0.1:8400", "HTTP listen address")
-	replicas := flag.Int("replicas", 0, "ring virtual nodes per shard (0 = default)")
 	loadFactor := flag.Float64("load-factor", 0, "bounded-load factor c (0 = default 1.25, negative = plain hashing)")
 	probe := flag.Duration("probe", 500*time.Millisecond, "shard health-check interval")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a shard is down")
@@ -110,7 +109,15 @@ func main() {
 	if len(shards) == 0 {
 		log.Fatal("gpmrfleet: need at least one -shard id=url (or -replay dir)")
 	}
-	if err := live(shards, *addr, *replicas, *loadFactor, *probe, *failAfter, *skew, *grace, *obsPath); err != nil {
+	cfg := fleet.Config{
+		Shards:        shards,
+		LoadFactor:    *loadFactor,
+		ProbeInterval: *probe,
+		FailAfter:     *failAfter,
+		SkewThreshold: *skew,
+		Obs:           obs.New(),
+	}
+	if err := live(cfg, *addr, *grace, *obsPath); err != nil {
 		log.Fatalf("gpmrfleet: %v", err)
 	}
 }
@@ -130,17 +137,8 @@ func stitchTo(path, dir string, opt serve.ReplayOptions) error {
 	return fleet.WriteStitchedDir(w, dir, opt)
 }
 
-func live(shards []fleet.Shard, addr string, replicas int, loadFactor float64,
-	probe time.Duration, failAfter, skew int, grace time.Duration, obsPath string) error {
-	rt, err := fleet.New(fleet.Config{
-		Shards:        shards,
-		Replicas:      replicas,
-		LoadFactor:    loadFactor,
-		ProbeInterval: probe,
-		FailAfter:     failAfter,
-		SkewThreshold: skew,
-		Obs:           obs.New(),
-	})
+func live(cfg fleet.Config, addr string, grace time.Duration, obsPath string) error {
+	rt, err := fleet.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -154,7 +152,7 @@ func live(shards []fleet.Shard, addr string, replicas int, loadFactor float64,
 	srv := &http.Server{Addr: addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("gpmrfleet: routing %d shards on %s", len(shards), addr)
+	log.Printf("gpmrfleet: routing %d shards on %s", len(cfg.Shards), addr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

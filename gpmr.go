@@ -50,7 +50,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/sched"
-	"repro/internal/serve"
 )
 
 // Core pipeline types, re-exported from the implementation package.
@@ -183,38 +182,3 @@ const (
 func FitAllChunking(sets int, virtVals, freeBytes, valBytes int64) int {
 	return core.FitAllChunking(sets, virtVals, freeBytes, valBytes)
 }
-
-// Online serving (internal/serve): an open system where jobs arrive at a
-// RUNNING cluster over a wall-clock boundary, with admission control and
-// deterministic arrival-trace record/replay. See DESIGN.md, "Online
-// serving", and cmd/gpmrd for the HTTP daemon.
-type (
-	// ServeConfig shapes one online service instance (cluster, policy,
-	// catalog, queue bound, quotas, time scale, trace recording).
-	ServeConfig = serve.Config
-	// Server is the live service handle: Submit/Cancel/Jobs/Drain.
-	Server = serve.Server
-	// ServeRequest is one submission crossing the service boundary.
-	ServeRequest = serve.Request
-	// ServeJobInfo is the service's record of one submission.
-	ServeJobInfo = serve.JobInfo
-	// ServeReport is a drained run: cluster trace, job table, stats.
-	ServeReport = serve.Report
-	// ServeCatalog maps submission kinds to deterministic job builders.
-	ServeCatalog = serve.Catalog
-	// ArrivalTrace is a recorded boundary-event stream for replay.
-	ArrivalTrace = serve.Trace
-)
-
-// StartServer begins serving jobs on a live simulated cluster.
-func StartServer(cfg ServeConfig) (*Server, error) { return serve.Start(cfg) }
-
-// ReplayTrace feeds a recorded arrival trace through the offline path,
-// reproducing the live run byte for byte.
-func ReplayTrace(tr *ArrivalTrace, opt serve.ReplayOptions) (*ServeReport, error) {
-	return serve.Replay(tr, opt)
-}
-
-// DefaultServeCatalog returns the standard submission kinds (wo, kmc,
-// sio) with the given physical element budget per job.
-func DefaultServeCatalog(phys int) *ServeCatalog { return serve.DefaultCatalog(phys) }

@@ -55,7 +55,7 @@ func fleetStream(o Options) []serve.Event {
 			kind, params = "sio", serve.Params{"elements": 8 << 20, "gpus": 4, "seed": seed, "chunkcap": 1 << 20}
 		}
 		evs = append(evs, serve.Event{Arrive: &serve.Arrival{
-			Seq: i, At: at, Tenant: fleetTenants[i%len(fleetTenants)], Kind: kind, Params: params,
+			Seq: i, At: at, Request: serve.Request{Tenant: fleetTenants[i%len(fleetTenants)], Kind: kind, Params: params},
 		}})
 	}
 	return evs
@@ -117,17 +117,12 @@ func Fleet(o Options) ([]FleetRow, error) {
 				if len(sub) == 0 {
 					continue
 				}
-				h := serve.Header{
-					Version:     serve.TraceVersion,
-					Policy:      "weighted-fair",
-					GPUs:        FleetShardGPUs,
-					GPUsPerNode: 4,
-					MaxQueue:    OnlineMaxQueue,
-					PhysBudget:  o.PhysBudget,
-					Shard:       id,
-				}
-				rep, err := serve.Replay(&serve.Trace{Header: h, Events: sub},
-					serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards})
+				rep, err := o.replayCell(fmt.Sprintf("%dx%.2f/%s/", n, c, id), serve.Header{
+					Policy:   "weighted-fair",
+					GPUs:     FleetShardGPUs,
+					MaxQueue: OnlineMaxQueue,
+					Shard:    id,
+				}, sub)
 				if err != nil {
 					return nil, fmt.Errorf("fleet: %d shards c=%.2f shard %s: %w", n, c, id, err)
 				}

@@ -64,7 +64,7 @@ func onlineStream(o Options, gapMs float64) []serve.Event {
 			kind, params = "sio", serve.Params{"elements": 32 << 20, "gpus": 12, "seed": seed, "chunkcap": 1 << 20}
 		}
 		evs = append(evs, serve.Event{Arrive: &serve.Arrival{
-			Seq: i, At: at, Tenant: onlineTenants[i%len(onlineTenants)], Kind: kind, Params: params,
+			Seq: i, At: at, Request: serve.Request{Tenant: onlineTenants[i%len(onlineTenants)], Kind: kind, Params: params},
 		}})
 	}
 	return evs
@@ -94,23 +94,14 @@ func Online(o Options) ([]OnlineRow, error) {
 	for _, gap := range onlineGapsMs {
 		evs := onlineStream(o, gap)
 		for _, pol := range multijobPolicies() {
-			h := serve.Header{
-				Version:     serve.TraceVersion,
-				Policy:      pol.Kind.String(),
-				Share:       pol.Share,
-				GPUs:        OnlineGPUs,
-				GPUsPerNode: 4,
-				MaxQueue:    OnlineMaxQueue,
-				Quota:       OnlineQuota,
-				PhysBudget:  o.PhysBudget,
-			}
-			// Prefix this cell's flight-recorder streams so all nine
-			// (load, policy) replays stay distinct in one trace file.
-			o.Obs.SetPrefix(fmt.Sprintf("%.0fms/%s/", gap, pol.Kind))
-			rep, err := serve.Replay(&serve.Trace{Header: h, Events: evs},
-				serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards, Obs: o.Obs})
+			rep, err := o.replayCell(fmt.Sprintf("%.0fms/%s/", gap, pol.Kind), serve.Header{
+				Policy:   pol.Kind.String(),
+				Share:    pol.Share,
+				GPUs:     OnlineGPUs,
+				MaxQueue: OnlineMaxQueue,
+				Quota:    OnlineQuota,
+			}, evs)
 			if err != nil {
-				o.Obs.SetPrefix("")
 				return nil, fmt.Errorf("online: gap %.0fms policy %s: %w", gap, pol.Kind, err)
 			}
 			s := rep.Stats
@@ -129,7 +120,6 @@ func Online(o Options) ([]OnlineRow, error) {
 			})
 		}
 	}
-	o.Obs.SetPrefix("")
 	return rows, nil
 }
 

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Options tunes harness fidelity against host wall-clock time.
@@ -62,6 +63,20 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	return o
+}
+
+// replayCell replays one cell of a scheduled experiment (online, slo,
+// fleet) — a trace header plus arrival events — through serve's offline
+// path on the harness's kernel backend, engine shards and flight
+// recorder. Every cell runs four-GPU nodes at the harness's physical
+// budget. prefix keeps the cell's recorder streams distinct from every
+// other cell's in one trace file; it is cleared again on return.
+func (o Options) replayCell(prefix string, h serve.Header, evs []serve.Event) (*serve.Report, error) {
+	h.Version, h.GPUsPerNode, h.PhysBudget = serve.TraceVersion, 4, o.PhysBudget
+	o.Obs.SetPrefix(prefix)
+	defer o.Obs.SetPrefix("")
+	return serve.Replay(&serve.Trace{Header: h, Events: evs},
+		serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards, Obs: o.Obs})
 }
 
 // Benchmarks lists the five apps in the paper's order.

@@ -52,7 +52,7 @@ func sloStream(o Options, gapMs float64) []serve.Event {
 		u := rng.Float64()
 		at += des.FromSeconds(gapMs / 1e3 * -math.Log(1-u))
 		seed := int64(o.Seed) + int64(i)*1000
-		a := &serve.Arrival{Seq: i, At: at, Tenant: onlineTenants[i%len(onlineTenants)]}
+		a := &serve.Arrival{Seq: i, At: at, Request: serve.Request{Tenant: onlineTenants[i%len(onlineTenants)]}}
 		switch rng.Intn(4) {
 		case 0:
 			// Interactive query: small, tight deadline, reject on a
@@ -131,22 +131,15 @@ func SLO(o Options) ([]SLORow, error) {
 	for _, gap := range sloGapsMs {
 		evs := sloStream(o, gap)
 		for _, cfg := range sloConfigs() {
-			h := serve.Header{
-				Version:     serve.TraceVersion,
-				Policy:      cfg.Policy,
-				GPUs:        SLOGPUs,
-				GPUsPerNode: 4,
-				MaxQueue:    SLOMaxQueue,
-				PhysBudget:  o.PhysBudget,
-				Reserve:     cfg.Reserve,
-				Preempt:     cfg.Preempt,
-				Elastic:     cfg.Elastic,
-			}
-			o.Obs.SetPrefix(fmt.Sprintf("%.0fms/%s/", gap, cfg.Name))
-			rep, err := serve.Replay(&serve.Trace{Header: h, Events: evs},
-				serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards, Obs: o.Obs})
+			rep, err := o.replayCell(fmt.Sprintf("%.0fms/%s/", gap, cfg.Name), serve.Header{
+				Policy:   cfg.Policy,
+				GPUs:     SLOGPUs,
+				MaxQueue: SLOMaxQueue,
+				Reserve:  cfg.Reserve,
+				Preempt:  cfg.Preempt,
+				Elastic:  cfg.Elastic,
+			}, evs)
 			if err != nil {
-				o.Obs.SetPrefix("")
 				return nil, fmt.Errorf("slo: gap %.0fms config %s: %w", gap, cfg.Name, err)
 			}
 			s := rep.Stats
@@ -181,7 +174,6 @@ func SLO(o Options) ([]SLORow, error) {
 			rows = append(rows, row)
 		}
 	}
-	o.Obs.SetPrefix("")
 	return rows, nil
 }
 

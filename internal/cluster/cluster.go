@@ -81,22 +81,17 @@ type Config struct {
 	// byte-identical traces and results; only host wall-clock changes.
 	Shards int
 
-	// LaunchOverhead is the simulated delay between the scheduler
-	// deciding to start a job and its gang processes beginning on their
-	// nodes — MPI wireup plus CUDA context dispatch. It doubles as the
-	// hub->shard lookahead that lets shards run concurrently. Zero means
-	// DefaultLaunchOverhead. Only sharded runs (Shards != 0) charge it.
-	LaunchOverhead des.Time
-
 	// Obs is the flight recorder shared by every layer of the simulation
 	// (nil = tracing disabled). Recording never perturbs the schedule, so
 	// results are byte-identical with or without it.
 	Obs *obs.Recorder
 }
 
-// DefaultLaunchOverhead is the job-launch dispatch cost charged by sharded
-// runs: roughly mpirun wireup + CUDA context creation on the paper's
-// cluster.
+// DefaultLaunchOverhead is the simulated delay between the scheduler
+// deciding to start a job and its gang processes beginning on their nodes
+// — roughly mpirun wireup + CUDA context creation on the paper's cluster.
+// It doubles as the hub->shard lookahead that lets shards run
+// concurrently. Only sharded runs (Shards != 0) charge it.
 const DefaultLaunchOverhead = 2 * des.Millisecond
 
 // ShardCount decodes the Shards knob against the cluster shape: the number
@@ -111,14 +106,6 @@ func (c Config) ShardCount() int {
 		return nNodes + 1
 	}
 	return c.Shards
-}
-
-// Launch returns the effective launch overhead.
-func (c Config) Launch() des.Time {
-	if c.LaunchOverhead == 0 {
-		return DefaultLaunchOverhead
-	}
-	return c.LaunchOverhead
 }
 
 // Validate checks the cluster shape without building it, so services can

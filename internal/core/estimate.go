@@ -76,5 +76,5 @@ func estimateJobCost(cl *cluster.Cluster, bytes int64, chunks, gang int) des.Tim
 	t := des.FromSeconds(sec)
 	perChunk := 3 * (cfg.GPU.LaunchOverhead + cfg.PCIe.Latency + cfg.Fabric.Latency)
 	t += perChunk * des.Time((chunks+gang-1)/gang)
-	return t + cfg.Launch()
+	return t + cluster.DefaultLaunchOverhead
 }

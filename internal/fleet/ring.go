@@ -34,7 +34,8 @@ type ringPoint struct {
 	shard string
 }
 
-// DefaultReplicas is the vnode count per shard when Config leaves it 0.
+// DefaultReplicas is the vnode count per shard: what the router uses, and
+// what NewRing substitutes for replicas <= 0.
 const DefaultReplicas = 64
 
 // NewRing builds a ring with the given virtual nodes per shard.

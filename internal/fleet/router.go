@@ -30,9 +30,6 @@ type Shard struct {
 type Config struct {
 	Shards []Shard
 
-	// Replicas is the virtual-node count per shard on the hash ring
-	// (default DefaultReplicas).
-	Replicas int
 	// LoadFactor is the bounded-load factor c: a shard's in-flight load
 	// may exceed its fair share by at most c×. 0 defaults to 1.25;
 	// negative disables the bound (plain consistent hashing).
@@ -48,11 +45,10 @@ type Config struct {
 	// SubmitRetries is how many times one proxied submission is retried
 	// against the same shard on transport errors or transient 5xx before
 	// the router fails over to the next ring candidate (default 2), with
-	// RetryBackoff between tries, doubling (default 25ms). SubmitTimeout
-	// bounds each try (default 15s).
+	// RetryBackoff between tries, doubling (default 25ms). Each try is
+	// bounded by submitTimeout.
 	SubmitRetries int
 	RetryBackoff  time.Duration
-	SubmitTimeout time.Duration
 	// RetryAfterCap bounds how long the router honors a shard's
 	// Retry-After header (429 backpressure and retried 5xx): the shard
 	// predicts its own queue drain, but the router will not stall a
@@ -64,12 +60,6 @@ type Config struct {
 	// job is stolen per probe cycle. 0 defaults to 4; negative disables.
 	SkewThreshold int
 
-	// DrainTimeout bounds each shard's drain handshake (default 120s).
-	DrainTimeout time.Duration
-
-	// Client overrides the HTTP client (timeouts come from per-request
-	// contexts, not the client).
-	Client *http.Client
 	// Logf receives router diagnostics. Defaults to log.Printf.
 	Logf func(format string, args ...any)
 
@@ -82,10 +72,15 @@ type Config struct {
 	Obs *obs.Recorder
 }
 
+// submitTimeout bounds one proxied request on the submission and read
+// paths; drainTimeout bounds one shard's drain handshake, which waits for
+// every admitted job to finish.
+const (
+	submitTimeout = 15 * time.Second
+	drainTimeout  = 120 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
 	if c.LoadFactor == 0 {
 		c.LoadFactor = 1.25
 	}
@@ -104,20 +99,11 @@ func (c Config) withDefaults() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
 	}
-	if c.SubmitTimeout <= 0 {
-		c.SubmitTimeout = 15 * time.Second
-	}
 	if c.RetryAfterCap <= 0 {
 		c.RetryAfterCap = 2 * time.Second
 	}
 	if c.SkewThreshold == 0 {
 		c.SkewThreshold = 4
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 120 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{}
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -141,21 +127,14 @@ type shardRT struct {
 	routed  int64 // accepted submissions ever routed here
 }
 
-// FleetJob is the router's record of one fleet-level submission: where
-// it currently lives and the router's last known state for it.
+// FleetJob is the router's record of one fleet-level submission: the
+// submission itself, carried whole so a failover or steal re-admits
+// exactly what the submitter sent (Tag is the correlation key shards
+// echo; TraceID defaults to it), plus where it currently lives and the
+// router's last known state for it.
 type FleetJob struct {
-	ID      int          `json:"id"`  // fleet job id
-	Tag     string       `json:"tag"` // correlation key, echoed by shards
-	Tenant  string       `json:"tenant"`
-	Kind    string       `json:"kind"`
-	Params  serve.Params `json:"params,omitempty"`
-	Weight  int          `json:"weight,omitempty"`
-	MinGang int          `json:"minGang,omitempty"`
-
-	// TraceID is the causal correlation ID stamped on the submission
-	// (defaults to the fleet tag) and echoed by the shard into its job
-	// record, arrival trace, and obs streams.
-	TraceID string `json:"traceId,omitempty"`
+	ID int `json:"id"` // fleet job id
+	serve.Request
 
 	Shard    string `json:"shard,omitempty"`  // owning shard
 	ShardJob int    `json:"shardJob"`         // id on the owning shard
@@ -179,20 +158,6 @@ func (j *FleetJob) terminal() bool {
 // it (the submitter's own retry path reroutes).
 const stateSubmitted = "submitted"
 
-type routerStats struct {
-	submitted   int64 // fleet-level submissions
-	accepted    int64 // routed to a shard, 202
-	rejected    int64 // shard said 429/400
-	unrouted    int64 // no live shard could take it, 503
-	retries     int64 // same-shard submission retries
-	reroutes    int64 // submissions moved to another ring candidate
-	failovers   int64 // jobs re-admitted after a shard loss
-	lost        int64 // jobs that could not be re-admitted anywhere
-	steals      int64 // queued jobs rebalanced away from a deep shard
-	transitions int64 // ring membership changes (epoch bumps)
-	probeFails  int64 // failed interactions with non-down shards
-}
-
 // Router is the fleet front door.
 type Router struct {
 	cfg  Config
@@ -207,7 +172,7 @@ type Router struct {
 	byTag   map[string]*FleetJob
 	epoch   int
 	nextTag int
-	stats   routerStats
+	stats   Stats
 
 	draining atomic.Bool
 	stopc    chan struct{}
@@ -229,7 +194,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		ids = append(ids, s.ID)
 	}
-	ring, err := NewRing(ids, cfg.Replicas)
+	ring, err := NewRing(ids, DefaultReplicas)
 	if err != nil {
 		return nil, err
 	}
@@ -330,10 +295,13 @@ func (rt *Router) recover() {
 			if info.Tag == "" || rt.byTag[info.Tag] != nil {
 				continue
 			}
+			// Adoption rebuilds the submission from the shard's record —
+			// the one place a Request is assembled from another type.
 			job := &FleetJob{
-				ID: len(rt.jobs), Tag: info.Tag, Tenant: info.Tenant, Kind: info.Kind,
-				Params: info.Params, TraceID: info.TraceID, Shard: id, ShardJob: info.ID,
-				State: info.Status, Reason: info.Reason, Attempts: 1,
+				ID: len(rt.jobs),
+				Request: serve.Request{Tenant: info.Tenant, Kind: info.Kind, Params: info.Params,
+					Class: info.Class, Deadline: info.Deadline, Tag: info.Tag, TraceID: info.TraceID},
+				Shard: id, ShardJob: info.ID, State: info.Status, Reason: info.Reason, Attempts: 1,
 			}
 			rt.jobs = append(rt.jobs, job)
 			rt.byTag[info.Tag] = job
@@ -365,7 +333,7 @@ func (rt *Router) Submit(req serve.Request) SubmitStatus {
 		return SubmitStatus{Code: http.StatusServiceUnavailable, Err: "fleet: router is draining"}
 	}
 	rt.mu.Lock()
-	rt.stats.submitted++
+	rt.stats.Submitted++
 	if req.Tag == "" {
 		req.Tag = fmt.Sprintf("f%d", rt.nextTag)
 		rt.nextTag++
@@ -375,11 +343,7 @@ func (rt *Router) Submit(req serve.Request) SubmitStatus {
 	if req.TraceID == "" {
 		req.TraceID = req.Tag
 	}
-	job := &FleetJob{
-		ID: len(rt.jobs), Tag: req.Tag, Tenant: req.Tenant, Kind: req.Kind,
-		Params: req.Params, Weight: req.Weight, MinGang: req.MinGang,
-		TraceID: req.TraceID, State: stateSubmitted,
-	}
+	job := &FleetJob{ID: len(rt.jobs), Request: req, State: stateSubmitted}
 	rt.jobs = append(rt.jobs, job)
 	rt.byTag[req.Tag] = job
 	rt.mu.Unlock()
@@ -392,14 +356,14 @@ func (rt *Router) Submit(req serve.Request) SubmitStatus {
 	case err != nil:
 		job.State = "rejected"
 		job.Reason = err.Error()
-		rt.stats.unrouted++
+		rt.stats.Unrouted++
 		return SubmitStatus{Code: http.StatusServiceUnavailable, Job: *job, Err: err.Error()}
 	case code == http.StatusAccepted:
 		job.Shard = shardID
 		job.ShardJob = info.ID
 		job.State = info.Status
 		job.Attempts++
-		rt.stats.accepted++
+		rt.stats.Accepted++
 		rt.shards[shardID].routed++
 		return SubmitStatus{Code: code, Job: *job, Shard: info}
 	default: // 429 or 400 from the shard: an explicit, terminal answer
@@ -408,7 +372,7 @@ func (rt *Router) Submit(req serve.Request) SubmitStatus {
 		job.State = "rejected"
 		job.Reason = info.Reason
 		job.Attempts++
-		rt.stats.rejected++
+		rt.stats.Rejected++
 		return SubmitStatus{Code: code, Job: *job, Shard: info}
 	}
 }
@@ -441,7 +405,7 @@ func (rt *Router) route(req serve.Request, exclude map[string]bool) (serve.JobIn
 		}
 		if hop > 0 {
 			rt.mu.Lock()
-			rt.stats.reroutes++
+			rt.stats.Reroutes++
 			rt.mu.Unlock()
 			rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(req.Tag), "reroute",
 				obs.A("to", shard), obs.Int("hop", int64(hop)))
@@ -492,12 +456,12 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 			}
 			time.Sleep(d)
 			rt.mu.Lock()
-			rt.stats.retries++
+			rt.stats.Retries++
 			rt.mu.Unlock()
 			rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(req.Tag), "retry",
 				obs.A("shard", shardID), obs.Int("try", int64(try)))
 		}
-		resp, err := rt.do(http.MethodPost, url+"/jobs", body, rt.cfg.SubmitTimeout)
+		resp, err := rt.do(http.MethodPost, url+"/jobs", body, submitTimeout)
 		if err != nil {
 			lastErr = err
 			continue
@@ -591,7 +555,7 @@ func (rt *Router) probeAll() (newlyDead []string) {
 				s.state = shardUp
 				rt.epoch++
 				epoch := rt.epoch
-				rt.stats.transitions++
+				rt.stats.Transitions++
 				rt.mu.Unlock()
 				rt.obs.Emit(rt.clockNs(), obs.CatSim, shardStream(id), "up", obs.Int("epoch", int64(epoch)))
 				rt.cfg.Logf("fleet: shard %s rejoined (epoch %d)", id, epoch)
@@ -625,7 +589,7 @@ func (rt *Router) noteFailure(id string, err error) bool {
 	if s == nil || s.state == shardDown {
 		return false
 	}
-	rt.stats.probeFails++
+	rt.stats.ProbeFails++
 	s.fails++
 	if err != nil {
 		s.lastErr = err.Error()
@@ -635,7 +599,7 @@ func (rt *Router) noteFailure(id string, err error) bool {
 	}
 	s.state = shardDown
 	rt.epoch++
-	rt.stats.transitions++
+	rt.stats.Transitions++
 	rt.obs.Emit(rt.clockNs(), obs.CatSim, shardStream(id), "down",
 		obs.Int("epoch", int64(rt.epoch)), obs.A("err", s.lastErr))
 	rt.cfg.Logf("fleet: shard %s down after %d failed probes (epoch %d): %s", id, s.fails, rt.epoch, s.lastErr)
@@ -653,7 +617,7 @@ func (rt *Router) markDraining(id string) {
 	}
 	s.state = shardDraining
 	rt.epoch++
-	rt.stats.transitions++
+	rt.stats.Transitions++
 	rt.obs.Emit(rt.clockNs(), obs.CatSim, shardStream(id), "draining", obs.Int("epoch", int64(rt.epoch)))
 	rt.cfg.Logf("fleet: shard %s draining (epoch %d)", id, rt.epoch)
 }
@@ -730,35 +694,58 @@ func (rt *Router) failover(dead string) {
 	}
 	rt.cfg.Logf("fleet: shard %s lost with %d unfinished jobs — re-admitting", dead, len(orphans))
 	for _, j := range orphans {
-		req := serve.Request{Tenant: j.Tenant, Kind: j.Kind, Params: j.Params,
-			Weight: j.Weight, MinGang: j.MinGang, Tag: j.Tag, TraceID: j.TraceID}
-		info, code, shardID, err := rt.route(req, map[string]bool{dead: true})
-		rt.mu.Lock()
-		switch {
-		case err != nil:
-			j.State = "failed"
-			j.Reason = "shard " + dead + " lost; re-admission failed: " + err.Error()
-			rt.stats.lost++
-			rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "lost", obs.A("from", dead))
-		case code == http.StatusAccepted:
-			j.Shard = shardID
-			j.ShardJob = info.ID
-			j.State = info.Status
-			j.Reason = ""
-			j.Attempts++
-			rt.stats.failovers++
-			rt.shards[shardID].routed++
-			rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "failover",
-				obs.A("from", dead), obs.A("to", shardID))
-		default:
-			// The survivor shed it: an explicit terminal answer.
-			j.State = "failed"
-			j.Reason = "shard " + dead + " lost; re-admission rejected: " + info.Reason
-			rt.stats.lost++
-			rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "lost", obs.A("from", dead))
-		}
-		rt.mu.Unlock()
+		rt.readmit(j, dead, "")
 	}
+}
+
+// readmit puts a job the fleet already holds back onto a shard and
+// settles its record — the one re-admission path. A failover (first == "")
+// routes around the dead shard from. A steal has already withdrawn the
+// job from healthy shard from's queue and offers it to the shallow shard
+// first; a target that flinches (tenant at its quota there, draining,
+// unreachable) sends it through normal routing around that target, where
+// its old shard may simply take it back. Either way the submission is
+// resent whole, and the outcomes are Submit's three: accepted, refused
+// by the shard that answered, or unroutable — the last two end the job
+// failed and count it lost.
+func (rt *Router) readmit(j *FleetJob, from, first string) {
+	event, moved, why, avoid := "failover", &rt.stats.Failovers, "shard "+from+" lost", from
+	var info serve.JobInfo
+	var code int
+	var err error
+	to := first
+	if first != "" {
+		event, moved, why, avoid = "steal", &rt.stats.Steals, "rebalanced off shard "+from, first
+		info, code, err = rt.postJob(first, j.Request)
+	}
+	if first == "" || err != nil || code != http.StatusAccepted {
+		info, code, to, err = rt.route(j.Request, map[string]bool{avoid: true})
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	switch {
+	case err != nil:
+		j.State = "failed"
+		j.Reason = why + "; re-admission failed: " + err.Error()
+	case code == http.StatusAccepted:
+		j.Shard = to
+		j.ShardJob = info.ID
+		j.State = info.Status
+		j.Reason = ""
+		j.Attempts++
+		if to != from { // a refused steal that routing sent back home moved nothing
+			*moved++
+		}
+		rt.shards[to].routed++
+		rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), event, obs.A("from", from), obs.A("to", to))
+		return
+	default:
+		// The shard that answered shed it: an explicit terminal answer.
+		j.State = "failed"
+		j.Reason = why + "; re-admission rejected: " + info.Reason
+	}
+	rt.stats.Lost++
+	rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "lost", obs.A("from", from))
 }
 
 // rebalance steals one queued job per cycle from the deepest shard
@@ -818,30 +805,9 @@ func (rt *Router) rebalance() {
 	if code != http.StatusOK {
 		return
 	}
-	req := serve.Request{Tenant: victim.Tenant, Kind: victim.Kind, Params: victim.Params,
-		Weight: victim.Weight, MinGang: victim.MinGang, Tag: tag, TraceID: victim.TraceID}
-	info, code, err := rt.postJob(shallow, req)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err != nil || code != http.StatusAccepted {
-		// The steal target flinched; the job is cancelled on the deep
-		// shard, so put it back through normal routing next cycle by
-		// marking it failed-over territory.
-		victim.State = "failed"
-		victim.Reason = fmt.Sprintf("rebalance lost the job (target %s: %v, status %d)", shallow, err, code)
-		rt.stats.lost++
-		return
-	}
-	victim.Shard = shallow
-	victim.ShardJob = info.ID
-	victim.State = info.Status
-	victim.Attempts++
-	rt.stats.steals++
-	rt.shards[shallow].routed++
-	rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(tag), "steal",
-		obs.A("from", deep), obs.A("to", shallow))
-	rt.cfg.Logf("fleet: stole job %s from %s (depth %d) to %s (depth %d)",
+	rt.cfg.Logf("fleet: stealing job %s from %s (depth %d) for %s (depth %d)",
 		tag, deep, depth[deep], shallow, depth[shallow])
+	rt.readmit(victim, deep, shallow)
 }
 
 // deepest / shallowest pick map extremes deterministically (ties by id).
@@ -886,7 +852,8 @@ func (rt *Router) Job(id int) (FleetJob, bool) {
 	return *rt.jobs[id], true
 }
 
-// Stats is the router's counter snapshot.
+// Stats is the router's counters; the router counts straight into one
+// under its mutex and Stats() hands out a copy.
 type Stats struct {
 	Submitted   int64 `json:"submitted"`   // fleet-level submissions
 	Accepted    int64 `json:"accepted"`    // routed to a shard, 202
@@ -905,13 +872,7 @@ type Stats struct {
 func (rt *Router) Stats() Stats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	s := rt.stats
-	return Stats{
-		Submitted: s.submitted, Accepted: s.accepted, Rejected: s.rejected,
-		Unrouted: s.unrouted, Retries: s.retries, Reroutes: s.reroutes,
-		Failovers: s.failovers, Lost: s.lost, Steals: s.steals,
-		Transitions: s.transitions, ProbeFails: s.probeFails,
-	}
+	return rt.stats
 }
 
 // ShardStatus is one shard's health snapshot.
@@ -973,7 +934,7 @@ func (rt *Router) Proxy(w io.Writer, fleetID int, suffix string) (int, string, e
 	}
 	url := fmt.Sprintf("%s/jobs/%d%s", s.URL, j.ShardJob, suffix)
 	rt.mu.Unlock()
-	resp, err := rt.do(http.MethodGet, url, nil, rt.cfg.SubmitTimeout)
+	resp, err := rt.do(http.MethodGet, url, nil, submitTimeout)
 	if err != nil {
 		return http.StatusBadGateway, "", err
 	}
@@ -1038,7 +999,7 @@ func (rt *Router) drain() ([]serve.DrainResponse, error) {
 	var resps []serve.DrainResponse
 	var firstErr error
 	for _, t := range targets {
-		resp, err := rt.do(http.MethodPost, t.url+"/drain", nil, rt.cfg.DrainTimeout)
+		resp, err := rt.do(http.MethodPost, t.url+"/drain", nil, drainTimeout)
 		if err != nil {
 			rt.cfg.Logf("fleet: draining shard %s: %v", t.id, err)
 			if firstErr == nil {
@@ -1076,7 +1037,7 @@ func (rt *Router) do(method, url string, body []byte, timeout time.Duration) (*h
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		cancel()
 		return nil, err

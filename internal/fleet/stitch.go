@@ -64,7 +64,7 @@ func (rt *Router) StitchedEvents() ([]obs.Event, error) {
 	}
 	rt.mu.Unlock()
 	for _, t := range targets {
-		resp, err := rt.do(http.MethodGet, t.url+"/flight", nil, rt.cfg.SubmitTimeout)
+		resp, err := rt.do(http.MethodGet, t.url+"/flight", nil, submitTimeout)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: fetching flight recording from %s: %w", t.id, err)
 		}

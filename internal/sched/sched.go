@@ -151,7 +151,7 @@ func New(cc cluster.Config, pol Policy) (*Scheduler, error) {
 		s.ss = des.NewShardSet(n)
 		s.ss.SetRecorder(cc.Obs)
 		s.eng = s.ss.Engine(0)
-		s.launchLat, s.doneLat = cc.Launch(), cc.Fabric.Latency
+		s.launchLat, s.doneLat = cluster.DefaultLaunchOverhead, cc.Fabric.Latency
 		for k := 1; k < n; k++ {
 			s.ss.DeclareEdge(0, k, s.launchLat)
 			s.ss.DeclareEdge(k, 0, s.doneLat)

@@ -10,11 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/sched"
 )
 
@@ -364,4 +367,51 @@ func TestCancelStatusCodes(t *testing.T) {
 		t.Fatalf("cancel finished job: status %d, want 409", resp.StatusCode)
 	}
 	sv.Drain()
+}
+
+// TestSubmitBodyDecodesEitherKeyCase: POST /jobs takes the documented
+// lowercase keys and, equally, Go-cased keys ("Tenant", "MinGang",
+// "TraceID") — what a router built before Request carried JSON tags
+// marshals — so a mixed-version fleet keeps working. Both spellings must
+// reach admission as the same Request; the arrival trace is the witness.
+func TestSubmitBodyDecodesEitherKeyCase(t *testing.T) {
+	want := Request{Tenant: "ana", Kind: "wo", Params: Params{"bytes": 1 << 20, "gpus": 2, "seed": 1},
+		Weight: 2, MinGang: 2, Class: "interactive", Deadline: 10 * des.Second,
+		Downgrade: true, Elastic: true, Tag: "f7", TraceID: "trace-7"}
+	bodies := []struct{ name, body string }{
+		{"lowercase", `{"tenant":"ana","kind":"wo","params":{"bytes":1048576,"gpus":2,"seed":1},"weight":2,"minGang":2,
+			"class":"interactive","deadline":10000000000,"downgrade":true,"elastic":true,"tag":"f7","traceId":"trace-7"}`},
+		{"go-cased", `{"Tenant":"ana","Kind":"wo","Params":{"bytes":1048576,"gpus":2,"seed":1},"Weight":2,"MinGang":2,
+			"Class":"interactive","Deadline":10000000000,"Downgrade":true,"Elastic":true,"Tag":"f7","TraceID":"trace-7"}`},
+	}
+	var rec bytes.Buffer
+	sv := startTestServer(t, Config{TraceW: &rec})
+	hs := httptest.NewServer(NewHandler(sv, HandlerConfig{Logf: quietLogf}))
+	defer hs.Close()
+	for _, b := range bodies {
+		resp, err := http.Post(hs.URL+"/jobs", "application/json", strings.NewReader(b.body))
+		if err != nil {
+			t.Fatalf("%s: POST: %v", b.name, err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: status %d: %s", b.name, resp.StatusCode, out)
+		}
+	}
+	if _, err := sv.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	tr, err := ReadTrace(&rec)
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if len(tr.Events) != len(bodies) {
+		t.Fatalf("trace holds %d events, want %d", len(tr.Events), len(bodies))
+	}
+	for i, b := range bodies {
+		if got := tr.Events[i].Arrive.Request; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s body decoded to %+v, want %+v", b.name, got, want)
+		}
+	}
 }

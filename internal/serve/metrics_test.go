@@ -20,13 +20,13 @@ func metricsTrace() *Trace {
 	h := Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8, GPUsPerNode: 4,
 		MaxQueue: 4, Quota: 2, PhysBudget: 2048}
 	return &Trace{Header: h, Events: []Event{
-		{Arrive: &Arrival{Seq: 0, At: 0, Tenant: "ana", Kind: "wo",
-			Params: Params{"bytes": 1 << 20, "gpus": 2, "seed": 1}}},
-		{Arrive: &Arrival{Seq: 1, At: des.Millisecond, Tenant: "bo", Kind: "kmc",
-			Params: Params{"points": 1 << 20, "gpus": 2, "seed": 2}}},
-		{Arrive: &Arrival{Seq: 2, At: 2 * des.Millisecond, Tenant: "ana", Kind: "sio",
-			Params: Params{"elements": 1 << 20, "gpus": 4, "seed": 3, "chunkcap": 1 << 18}}},
-		{Arrive: &Arrival{Seq: 3, At: 3 * des.Millisecond, Tenant: "cy", Kind: "nope"}},
+		{Arrive: &Arrival{Seq: 0, At: 0, Request: Request{Tenant: "ana", Kind: "wo",
+			Params: Params{"bytes": 1 << 20, "gpus": 2, "seed": 1}}}},
+		{Arrive: &Arrival{Seq: 1, At: des.Millisecond, Request: Request{Tenant: "bo", Kind: "kmc",
+			Params: Params{"points": 1 << 20, "gpus": 2, "seed": 2}}}},
+		{Arrive: &Arrival{Seq: 2, At: 2 * des.Millisecond, Request: Request{Tenant: "ana", Kind: "sio",
+			Params: Params{"elements": 1 << 20, "gpus": 4, "seed": 3, "chunkcap": 1 << 18}}}},
+		{Arrive: &Arrival{Seq: 3, At: 3 * des.Millisecond, Request: Request{Tenant: "cy", Kind: "nope"}}},
 	}}
 }
 

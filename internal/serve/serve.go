@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -73,36 +72,46 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Request is one submission crossing the service boundary.
+// Request is one submission crossing the service boundary, and the ONE
+// declaration of what a submission is: it is the POST /jobs body, it is
+// embedded whole in the arrival-trace line (Arrival) and in the fleet
+// router's job table (fleet.FleetJob), and replay, failover and steal
+// re-admit it as-is. A new submission field is added here and nowhere
+// else. JSON keys decode case-insensitively, so bodies keyed "Tenant" /
+// "MinGang" / "TraceID" — what a router built before Request carried
+// tags marshals — still decode.
 type Request struct {
-	Tenant string
-	Kind   string
-	Params Params
+	Tenant string `json:"tenant"`
+	Kind   string `json:"kind"`
+	Params Params `json:"params,omitempty"`
 	// Weight and MinGang pass through to the scheduler policy (see
 	// sched.JobSpec).
-	Weight  int
-	MinGang int
+	Weight  int `json:"weight,omitempty"`
+	MinGang int `json:"minGang,omitempty"`
 	// Class names the service class ("batch", "standard", "interactive";
-	// empty means batch) and Deadline the relative completion SLO — both
-	// pass through to sched.JobSpec, where admission may reject a
+	// empty means batch) and Deadline the relative completion SLO (ns) —
+	// both pass through to sched.JobSpec, where admission may reject a
 	// predicted miss, or demote the job to batch instead when Downgrade
-	// is set. Elastic opts a molded gang into grow-back.
-	Class     string
-	Deadline  des.Time
-	Downgrade bool
-	Elastic   bool
+	// is set. Elastic opts a molded gang into grow-back. All omitted for
+	// plain submissions, keeping pre-SLO traces byte-identical.
+	Class     string   `json:"class,omitempty"`
+	Deadline  des.Time `json:"deadline,omitempty"`
+	Downgrade bool     `json:"downgrade,omitempty"`
+	Elastic   bool     `json:"elastic,omitempty"`
 	// Tag is an optional submitter-chosen correlation handle, recorded in
 	// the arrival trace and echoed in the job record. The fleet router
 	// keys its cross-shard job table on it: after a shard loss or router
 	// restart, tags are what let re-admitted jobs be matched to their
 	// fleet-level identity.
-	Tag string
+	Tag string `json:"tag,omitempty"`
 	// TraceID is the causal correlation ID threaded through the whole
 	// stack: the fleet router stamps one on every submission it routes
 	// (defaulting to the fleet tag), and serve echoes it into the job
 	// record, the arrival trace, and the job's obs streams, so a job's
 	// journey router -> shard -> sched -> core reads as one chain.
-	TraceID string
+	// Omitted for direct submissions, keeping pre-fleet traces
+	// byte-identical.
+	TraceID string `json:"traceId,omitempty"`
 }
 
 // JobInfo is the service's record of one submission. All times are
@@ -234,9 +243,8 @@ type Config struct {
 	// backpressure signal. 0 defaults to 64; negative means unbounded.
 	MaxQueue int
 	// Quota caps any one tenant's in-flight jobs (queued + running);
-	// 0 means unlimited. Quotas overrides per tenant.
-	Quota  int
-	Quotas map[string]int
+	// 0 means unlimited.
+	Quota int
 
 	// TimeScale maps wall-clock onto virtual time in live mode: an
 	// arrival T wall-seconds after start lands at T·TimeScale virtual
@@ -276,20 +284,11 @@ func (c Config) header() Header {
 		GPUsPerNode: c.Cluster.GPUsPerNode,
 		MaxQueue:    c.MaxQueue,
 		Quota:       c.Quota,
-		Quotas:      c.Quotas,
 		PhysBudget:  c.Catalog.PhysBudget(),
 		Reserve:     c.Policy.Reserve,
 		Preempt:     c.Policy.Preempt,
 		Elastic:     c.Policy.Elastic,
 	}
-}
-
-// quotaFor resolves one tenant's in-flight cap (0 = unlimited).
-func (c Config) quotaFor(tenant string) int {
-	if q, ok := c.Quotas[tenant]; ok {
-		return q
-	}
-	return c.Quota
 }
 
 // session is the mode-independent half of the service: the engine,
@@ -406,10 +405,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	// rejected — because rejects are decisions, and decisions are
 	// recomputed on replay, not recorded.
 	if ses.rec != nil {
-		ses.rec.Arrive(Arrival{Seq: id, At: now, Tenant: req.Tenant, Kind: req.Kind,
-			Params: req.Params, Weight: req.Weight, MinGang: req.MinGang, Tag: req.Tag,
-			TraceID: req.TraceID, Class: req.Class, Deadline: req.Deadline,
-			Downgrade: req.Downgrade, Elastic: req.Elastic})
+		ses.rec.Arrive(Arrival{Seq: id, At: now, Request: req})
 	}
 
 	info := &JobInfo{
@@ -474,7 +470,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		return reject(fmt.Sprintf("shed: admission queue full (%d waiting)", ses.sch.QueueLen()),
 			"shed", &ses.stats.RejectedShed)
 	}
-	if q := ses.cfg.quotaFor(req.Tenant); q > 0 && ses.inflight[req.Tenant] >= q {
+	if q := ses.cfg.Quota; q > 0 && ses.inflight[req.Tenant] >= q {
 		info.RetryAfter = ses.retryAfter()
 		return reject(fmt.Sprintf("quota: tenant %q has %d jobs in flight (cap %d)",
 			req.Tenant, ses.inflight[req.Tenant], q), "quota", &ses.stats.RejectedQuota)
@@ -965,21 +961,6 @@ func (sv *Server) Output(id int) (string, error) {
 	return out, nil
 }
 
-// WriteJobTable writes the current job table as JSONL, one JobInfo per
-// line in ID order — the restartable record a shard leaves behind at
-// drain so a successor (or the router) can account for every job the
-// old incarnation ever admitted.
-func (sv *Server) WriteJobTable(w io.Writer) error {
-	jobs := sv.Jobs()
-	enc := json.NewEncoder(w)
-	for i := range jobs {
-		if err := enc.Encode(&jobs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Drain stops accepting work, waits for every admitted job to finish,
 // flushes the arrival trace, and returns the final report. Idempotent;
 // concurrent callers all receive the same report.
@@ -1013,11 +994,6 @@ type ReplayOptions struct {
 	// per node plus the hub. Replays at any shard count >= 1 are mutually
 	// byte-identical; a live run and its replay must use the same setting.
 	Shards int
-	// Cluster overrides the cluster reconstruction. The trace header only
-	// records the machine's shape (GPUs, GPUs per node) and Replay rebuilds
-	// the paper's default testbed from it; a live run on non-default
-	// hardware properties must supply the same cluster here.
-	Cluster *cluster.Config
 	// Obs, when set, records the replay's flight-recorder trace (see
 	// internal/obs). Recording does not perturb the replay: reports stay
 	// byte-identical with and without it.
@@ -1047,22 +1023,10 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 		return nil, 0, err
 	}
 	cc := cluster.DefaultConfig(tr.Header.GPUs)
-	if opt.Cluster != nil {
-		cc = *opt.Cluster
-	} else if tr.Header.GPUsPerNode > 0 {
+	if tr.Header.GPUsPerNode > 0 {
 		cc.GPUsPerNode = tr.Header.GPUsPerNode
 	}
-	// An explicit cluster override keeps its own Workers unless the
-	// option asks for a specific backend.
-	if opt.Cluster == nil || opt.Workers != 0 {
-		cc.Workers = opt.Workers
-	}
-	if opt.Cluster == nil || opt.Shards != 0 {
-		cc.Shards = opt.Shards
-	}
-	if opt.Obs != nil {
-		cc.Obs = opt.Obs
-	}
+	cc.Workers, cc.Shards, cc.Obs = opt.Workers, opt.Shards, opt.Obs
 	cat := opt.Catalog
 	if cat == nil {
 		cat = DefaultCatalog(tr.Header.PhysBudget)
@@ -1073,7 +1037,6 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 		Catalog:  cat,
 		MaxQueue: tr.Header.MaxQueue,
 		Quota:    tr.Header.Quota,
-		Quotas:   tr.Header.Quotas,
 	}.withDefaults()
 	ses, err := newSession(cfg)
 	if err != nil {
@@ -1087,10 +1050,7 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 			// injected (des/doc.go, "Boundary ordering").
 			p.SleepLate(ev.at() - p.Now())
 			if a := ev.Arrive; a != nil {
-				info := ses.arrive(p.Now(), Request{Tenant: a.Tenant, Kind: a.Kind,
-					Params: a.Params, Weight: a.Weight, MinGang: a.MinGang, Tag: a.Tag,
-					TraceID: a.TraceID, Class: a.Class, Deadline: a.Deadline,
-					Downgrade: a.Downgrade, Elastic: a.Elastic})
+				info := ses.arrive(p.Now(), a.Request)
 				if info.ID != a.Seq {
 					panic(fmt.Sprintf("serve: replay assigned ID %d to recorded seq %d", info.ID, a.Seq))
 				}

@@ -164,7 +164,7 @@ func TestLiveReplayOfflineIdentity(t *testing.T) {
 func buildTrace(h Header, evs []Event) *Trace { return &Trace{Header: h, Events: evs} }
 
 func arr(seq int, at des.Time, tenant, kind string, p Params) Event {
-	return Event{Arrive: &Arrival{Seq: seq, At: at, Tenant: tenant, Kind: kind, Params: p}}
+	return Event{Arrive: &Arrival{Seq: seq, At: at, Request: Request{Tenant: tenant, Kind: kind, Params: p}}}
 }
 
 // TestAdmissionControl drives shed, quota, and invalid rejects plus a

@@ -22,11 +22,11 @@ func TestSLOTraceRoundTrip(t *testing.T) {
 		PhysBudget: 4096, Reserve: true, Preempt: true, Elastic: true}
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, h)
-	w.Arrive(Arrival{Seq: 0, At: 5, Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024},
-		Class: "interactive", Deadline: 20 * des.Millisecond})
-	w.Arrive(Arrival{Seq: 1, At: 9, Tenant: "b", Kind: "kmc",
-		Class: "standard", Deadline: 60 * des.Millisecond, Downgrade: true})
-	w.Arrive(Arrival{Seq: 2, At: 12, Tenant: "c", Kind: "sio", Elastic: true})
+	w.Arrive(Arrival{Seq: 0, At: 5, Request: Request{Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024},
+		Class: "interactive", Deadline: 20 * des.Millisecond}})
+	w.Arrive(Arrival{Seq: 1, At: 9, Request: Request{Tenant: "b", Kind: "kmc",
+		Class: "standard", Deadline: 60 * des.Millisecond, Downgrade: true}})
+	w.Arrive(Arrival{Seq: 2, At: 12, Request: Request{Tenant: "c", Kind: "sio", Elastic: true}})
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestSLOTraceRoundTrip(t *testing.T) {
 	// new fields at all.
 	var plain bytes.Buffer
 	pw := NewTraceWriter(&plain, Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8})
-	pw.Arrive(Arrival{Seq: 0, At: 5, Tenant: "a", Kind: "wo"})
+	pw.Arrive(Arrival{Seq: 0, At: 5, Request: Request{Tenant: "a", Kind: "wo"}})
 	if err := pw.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}

@@ -27,16 +27,15 @@ const TraceVersion = 1
 // Header opens a trace: everything admission depends on besides the
 // events themselves, so a trace is self-contained.
 type Header struct {
-	Version     int            `json:"version"`
-	Policy      string         `json:"policy"`
-	Share       int            `json:"share,omitempty"`
-	NoBackfill  bool           `json:"noBackfill,omitempty"`
-	GPUs        int            `json:"gpus"`
-	GPUsPerNode int            `json:"gpusPerNode"`
-	MaxQueue    int            `json:"maxQueue"`
-	Quota       int            `json:"quota,omitempty"`
-	Quotas      map[string]int `json:"quotas,omitempty"`
-	PhysBudget  int            `json:"physBudget"`
+	Version     int    `json:"version"`
+	Policy      string `json:"policy"`
+	Share       int    `json:"share,omitempty"`
+	NoBackfill  bool   `json:"noBackfill,omitempty"`
+	GPUs        int    `json:"gpus"`
+	GPUsPerNode int    `json:"gpusPerNode"`
+	MaxQueue    int    `json:"maxQueue"`
+	Quota       int    `json:"quota,omitempty"`
+	PhysBudget  int    `json:"physBudget"`
 
 	// SLO scheduling switches (sched.Policy); omitted when off so pre-SLO
 	// traces are byte-unchanged.
@@ -54,29 +53,12 @@ type Header struct {
 }
 
 // Arrival is one submission crossing the service boundary, stamped with
-// the virtual time the service admitted it for consideration.
+// the virtual time the service admitted it for consideration. The
+// submission rides along whole: Request's JSON keys are the line's keys.
 type Arrival struct {
-	Seq     int      `json:"seq"`
-	At      des.Time `json:"at"` // virtual arrival time, ns
-	Tenant  string   `json:"tenant"`
-	Kind    string   `json:"kind"`
-	Params  Params   `json:"params,omitempty"`
-	Weight  int      `json:"weight,omitempty"`
-	MinGang int      `json:"minGang,omitempty"`
-	// SLO fields: service class, relative deadline (ns), downgrade-on-miss
-	// and elastic opt-ins. All omitted for plain submissions, keeping
-	// pre-SLO traces byte-identical.
-	Class     string   `json:"class,omitempty"`
-	Deadline  des.Time `json:"deadline,omitempty"`
-	Downgrade bool     `json:"downgrade,omitempty"`
-	Elastic   bool     `json:"elastic,omitempty"`
-	// Tag is the submitter's correlation handle (the fleet router keys its
-	// job table on it); it passes through admission untouched.
-	Tag string `json:"tag,omitempty"`
-	// TraceID is the fleet-level causal correlation ID (see
-	// Request.TraceID). Omitted for direct submissions, keeping pre-fleet
-	// traces byte-identical.
-	TraceID string `json:"traceId,omitempty"`
+	Seq int      `json:"seq"`
+	At  des.Time `json:"at"` // virtual arrival time, ns
+	Request
 }
 
 // Cancel is one cancellation request, aimed at a previously recorded

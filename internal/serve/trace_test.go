@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 
 func TestTraceRoundTrip(t *testing.T) {
 	h := Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8, GPUsPerNode: 4,
-		MaxQueue: 16, Quota: 4, Quotas: map[string]int{"vip": 8}, PhysBudget: 4096}
+		MaxQueue: 16, Quota: 4, PhysBudget: 4096}
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, h)
-	w.Arrive(Arrival{Seq: 0, At: 5, Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024}, Weight: 2})
-	w.Arrive(Arrival{Seq: 1, At: 9, Tenant: "b", Kind: "sio", MinGang: 2})
+	w.Arrive(Arrival{Seq: 0, At: 5, Request: Request{Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024}, Weight: 2}})
+	w.Arrive(Arrival{Seq: 1, At: 9, Request: Request{Tenant: "b", Kind: "sio", MinGang: 2}})
 	w.Cancel(Cancel{Seq: 0, At: 12})
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -23,7 +24,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if tr.Header.Policy != "weighted-fair" || tr.Header.Quotas["vip"] != 8 || tr.Header.PhysBudget != 4096 {
+	if tr.Header.Policy != "weighted-fair" || tr.Header.Quota != 4 || tr.Header.PhysBudget != 4096 {
 		t.Fatalf("header mangled: %+v", tr.Header)
 	}
 	if len(tr.Events) != 3 {
@@ -72,7 +73,7 @@ func TestHeaderTimes(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 1, GPUsPerNode: 1, PhysBudget: 1})
 	at := 3*des.Second + 141*des.Millisecond
-	w.Arrive(Arrival{Seq: 0, At: at, Tenant: "x", Kind: "wo"})
+	w.Arrive(Arrival{Seq: 0, At: at, Request: Request{Tenant: "x", Kind: "wo"}})
 	if err := w.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -82,5 +83,56 @@ func TestHeaderTimes(t *testing.T) {
 	}
 	if got := tr.Events[0].Arrive.At; got != at {
 		t.Fatalf("time round-trip: %v != %v", got, at)
+	}
+}
+
+// goldenTrace is the arrival-trace wire format, byte for byte: a header
+// with the SLO switches and a fleet stamp, a plain arrival, an arrival
+// using every submission field, and a cancel. Arrival lines are Request's
+// JSON keys behind seq/at, so this fixture is what guards the embedding:
+// a renamed tag, a reordered field or a lost omitempty changes these bytes
+// and breaks replay of every recorded trace.
+const goldenTrace = `{"version":1,"policy":"weighted-fair","gpus":8,"gpusPerNode":4,"maxQueue":16,"physBudget":4096,"reserve":true,"preempt":true,"elastic":true,"shard":"s1","epoch":3}
+{"arrive":{"seq":0,"at":5,"tenant":"a","kind":"wo","params":{"bytes":1024}}}
+{"arrive":{"seq":1,"at":9,"tenant":"b","kind":"kmc","params":{"gpus":4,"points":4096},"weight":2,"minGang":4,"class":"interactive","deadline":25000000,"downgrade":true,"elastic":true,"tag":"f7","traceId":"trace-7"}}
+{"cancel":{"seq":0,"at":12}}
+`
+
+func TestTraceWireFormatGolden(t *testing.T) {
+	plain := Request{Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024}}
+	full := Request{Tenant: "b", Kind: "kmc", Params: Params{"points": 4096, "gpus": 4},
+		Weight: 2, MinGang: 4, Class: "interactive", Deadline: 25 * des.Millisecond,
+		Downgrade: true, Elastic: true, Tag: "f7", TraceID: "trace-7"}
+
+	var buf bytes.Buffer
+	w := NewTraceWriter(&buf, Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8, GPUsPerNode: 4,
+		MaxQueue: 16, PhysBudget: 4096, Reserve: true, Preempt: true, Elastic: true})
+	if err := w.SetFleet("s1", 3); err != nil {
+		t.Fatalf("SetFleet: %v", err)
+	}
+	w.Arrive(Arrival{Seq: 0, At: 5, Request: plain})
+	w.Arrive(Arrival{Seq: 1, At: 9, Request: full})
+	w.Cancel(Cancel{Seq: 0, At: 12})
+	if err := w.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got := buf.String(); got != goldenTrace {
+		t.Fatalf("trace bytes changed:\n--- got ---\n%s--- want ---\n%s", got, goldenTrace)
+	}
+
+	tr, err := ReadTrace(strings.NewReader(goldenTrace))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if tr.Header.Shard != "s1" || tr.Header.Epoch != 3 || !tr.Header.Reserve || !tr.Header.Preempt || !tr.Header.Elastic {
+		t.Fatalf("header mangled: %+v", tr.Header)
+	}
+	if len(tr.Events) != 3 || tr.Events[2].Cancel == nil {
+		t.Fatalf("events mangled: %+v", tr.Events)
+	}
+	for i, want := range []Request{plain, full} {
+		if got := tr.Events[i].Arrive.Request; !reflect.DeepEqual(got, want) {
+			t.Errorf("arrival %d read back as %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -100,6 +100,14 @@ if grep -qvE '^(000|202|400|429|503)$' "$workdir/race.codes"; then
 fi
 wait "$pid"
 
+# The header records what the operator asked for: -share is a fixed-share
+# knob, so a weighted-fair trace must not carry its default.
+if head -n 1 "$workdir/trace.jsonl" | grep -q '"share"'; then
+  echo "weighted-fair trace header records a fixed-share cap:"
+  head -n 1 "$workdir/trace.jsonl"
+  exit 1
+fi
+
 # Replay the recorded trace offline: the report must match byte for byte.
 "$workdir/gpmrd" -replay "$workdir/trace.jsonl" >"$workdir/replay.out"
 if ! diff -u "$workdir/live.out" "$workdir/replay.out"; then
