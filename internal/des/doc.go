@@ -20,7 +20,9 @@
 // process table, and open-future set are touched only by the goroutine
 // currently driving that engine: the owning goroutine before Run, then
 // exactly one of {the dispatch loop, the single running process} at a
-// time. Primitives (Resource, Queue, Signal, Cond, WaitGroup) are engine-
+// time. The process table holds live processes only — one leaves when its
+// body returns — so an engine's memory follows what is running, not what
+// has run. Primitives (Resource, Queue, Signal, Cond, WaitGroup) are engine-
 // confined too, with one twist: an idle Resource re-homes to the engine of
 // its next acquirer, and every primitive delivers wake-ups on the parked
 // process's OWN engine — which is what lets hardware models (NICs, PCIe

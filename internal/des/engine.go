@@ -51,9 +51,8 @@ type Engine struct {
 	seq     uint64
 	queue   eventHeap
 	yield   chan yieldMsg
-	procs   []*Proc
-	live    int // spawned but not finished
-	blocked int // parked with no pending wake event
+	procs   []*Proc // spawned but not finished; a process leaves when it ends
+	blocked int     // parked with no pending wake event
 	running bool
 	// Sharded-mode state (see shard.go): cross-shard messages buffered for
 	// delivery, ordered by (at, srcKey, seq) so the merged dispatch order
@@ -121,6 +120,7 @@ type Proc struct {
 	eng    *Engine
 	name   string
 	resume chan struct{}
+	idx    int  // position in eng.procs, for release
 	parked bool // parked without a scheduled wake (waiting on resource/queue)
 	ended  bool
 }
@@ -146,9 +146,8 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 // and the spawned process's first event must carry that time, not the
 // current frontier — and how injections land in the boundary class.
 func (e *Engine) spawnAt(at Time, class uint64, name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), idx: len(e.procs)}
 	e.procs = append(e.procs, p)
-	e.live++
 	go func() {
 		<-p.resume // wait for first schedule
 		var pnc any
@@ -263,7 +262,7 @@ func (e *Engine) Run() Time {
 				e.applyInjection(<-e.injc) // park: wait for the outside world
 				continue
 			}
-			if e.live > 0 {
+			if len(e.procs) > 0 {
 				panic(fmt.Sprintf("des: deadlock at t=%v: %d process(es) blocked: %v",
 					e.now, e.blocked, e.blockedNames()))
 			}
@@ -345,8 +344,19 @@ func (e *Engine) step() {
 		panic(fmt.Sprintf("des: process %q panicked at t=%v: %v", msg.proc.name, e.now, msg.pnc))
 	}
 	if msg.done {
-		e.live--
+		e.release(msg.proc)
 	}
+}
+
+// release drops a finished process from the process table (swap-remove by
+// its stored index), so what the engine holds follows the processes that
+// are alive, not every process it ever ran.
+func (e *Engine) release(p *Proc) {
+	last := len(e.procs) - 1
+	moved := e.procs[last]
+	e.procs[p.idx], moved.idx = moved, p.idx
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
 }
 
 // runWindow advances the shard through every pending activity strictly

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -289,6 +290,50 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestFinishedProcessesAreReleased: the process table follows the live
+// processes. Ten thousand short processes come and go beside three parked
+// ones; between dispatches the engine holds exactly the live ones, each at
+// the index it remembers, and the deadlock report that the table exists
+// for still names the parked ones, sorted.
+func TestFinishedProcessesAreReleased(t *testing.T) {
+	const churn = 10_000
+	e := NewEngine()
+	q := NewQueue(e, "never")
+	for _, name := range []string{"stuck-c", "stuck-a", "stuck-b"} {
+		e.Spawn(name, func(p *Proc) { q.Get(p) })
+	}
+	table := func(when string, want int) {
+		t.Helper()
+		if len(e.procs) != want {
+			t.Fatalf("%s: engine holds %d processes, want %d", when, len(e.procs), want)
+		}
+		for i, p := range e.procs {
+			if p.idx != i || p.ended {
+				t.Fatalf("%s: slot %d holds %q with idx %d ended %v", when, i, p.name, p.idx, p.ended)
+			}
+		}
+	}
+	e.Spawn("churn", func(p *Proc) {
+		for i := 0; i < churn; i++ {
+			// Two per round, finishing in the order opposite to their slots,
+			// so both the last slot and an inner one are released.
+			e.Spawn("short", func(c *Proc) { c.Sleep(2) })
+			e.Spawn("shorter", func(c *Proc) { c.Sleep(1) })
+			table("mid-round", 6)
+			p.Sleep(3)
+			table("after round", 4)
+		}
+	})
+	defer func() {
+		const want = "3 process(es) blocked: [stuck-a stuck-b stuck-c]"
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("deadlock report %q, want it to contain %q", r, want)
+		}
+		table("after the run", 3)
+	}()
+	e.Run()
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {
@@ -409,4 +454,27 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkEngineSpawnChurn spawns b.N processes that each sleep once and
+// end, a few at a time — the shape of a long job stream, where processes
+// come and go and only a handful are ever alive. retained-procs is what
+// the engine still holds when the run ends.
+func BenchmarkEngineSpawnChurn(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	retained := 0
+	e.Spawn("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Spawn("short", func(c *Proc) { c.Sleep(Nanosecond) })
+			if i%4 == 3 {
+				p.Sleep(2 * Nanosecond)
+			}
+		}
+		p.Sleep(2 * Nanosecond)
+		retained = len(e.procs) - 1 // all but the spawner itself
+	})
+	b.ResetTimer()
+	e.Run()
+	b.ReportMetric(float64(retained), "retained-procs")
 }

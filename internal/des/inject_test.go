@@ -254,7 +254,7 @@ func TestBoundaryWorkRunsAfterOrdinaryTies(t *testing.T) {
 				t.Errorf("Close: %v", err)
 			}
 		}()
-		for before := eng.live; eng.live == before; {
+		for before := len(eng.procs); len(eng.procs) == before; {
 			p.Yield() // back to the dispatch loop, which drains injections
 		}
 		eng.Spawn("setter", func(*Proc) { set = true })

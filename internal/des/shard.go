@@ -376,7 +376,7 @@ func (ss *ShardSet) Run() Time {
 			}
 			live, blocked := 0, []string(nil)
 			for _, e := range ss.engines {
-				live += e.live
+				live += len(e.procs)
 				blocked = append(blocked, e.blockedNames()...)
 			}
 			if live > 0 {

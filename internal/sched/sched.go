@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -43,9 +44,11 @@ type JobSpec struct {
 	Elastic bool
 }
 
-// jobRec tracks one submission through the scheduler.
+// jobRec tracks one submission through the scheduler: the JobSpec's
+// fields with their defaults applied, then what admission did with it.
 type jobRec struct {
-	spec    JobSpec
+	job     core.Runnable
+	name    string // job.RunName(), asked once
 	id      int
 	want    int
 	weight  int
@@ -62,20 +65,18 @@ type jobRec struct {
 	gang      []int
 	leased    []int // gang plus surplus ranks held idle (sharded whole-node leases)
 	trace     *core.Trace
-	waiting   bool // in the queue
-	running   bool
+	waiting   bool  // in the queue; written by setState only
+	running   bool  // holding a gang; written by setState only
 	cancelled bool  // pulled from the queue before admission, or preempt-cancelled
 	rejected  bool  // turned away at arrival by the SLO admission check
 	err       error // LaunchOn failure, job never ran
 
-	// SLO machinery. est caches the cost-model estimate for the granted
-	// gang (set at start, consumed by the EASY reservation walk).
-	// quiescing marks a launch asked to checkpoint-preempt; qCancel and
-	// growPending record why, so requeue knows whether the job is being
-	// cancelled, grown (floorGang forces the relaunch wider), or
-	// restarted behind a higher class.
-	est         des.Time
-	estOK       bool
+	// SLO machinery. ests memoises the cost model per gang size (see
+	// estimate). quiescing marks a launch asked to checkpoint-preempt;
+	// qCancel and growPending record why, so requeue knows whether the
+	// job is being cancelled, grown (floorGang forces the relaunch wider),
+	// or restarted behind a higher class.
+	ests        []gangEst
 	quiescing   bool
 	qCancel     bool
 	growPending bool
@@ -95,16 +96,26 @@ type jobRec struct {
 // at engine time (from a simulated process or an injected closure) — the
 // Scheduler is engine-confined state, not a thread-safe object.
 type Scheduler struct {
-	eng   *des.Engine // the hub: shard 0 of ss, or the only engine
-	cl    *cluster.Cluster
-	pol   Policy
-	free  []bool // by global rank
-	nFree int
+	eng *des.Engine // the hub: shard 0 of ss, or the only engine
+	cl  *cluster.Cluster
+	pol Policy
+
+	// Idle ranks, written by setFree only: by global rank, counted per
+	// node, and in total.
+	free     []bool
+	nodeFree []int
+	nFree    int
 
 	queue   []*jobRec // pending, arrival order
 	recs    []*jobRec // all, submission order
-	nRun    int
-	launchE error // first LaunchOn failure, reported after a batch run
+	launchE error     // first LaunchOn failure, reported after a batch run
+
+	// What the admission pass reads instead of walking recs, written by
+	// setState only: the jobs holding gangs in ascending ID order (the
+	// order a walk over recs met them in), and the summed weight of every
+	// job in the system, running or waiting.
+	running []*jobRec
+	demand  int
 
 	// Sharded dispatch (nil ss = same-engine launches): jobs are homed on
 	// engines 1..N-1 by their gang's lowest node ID (all on the hub when
@@ -143,10 +154,7 @@ func New(cc cluster.Config, pol Policy) (*Scheduler, error) {
 	if err := pol.Validate(cc.GPUs); err != nil {
 		return nil, err
 	}
-	s := &Scheduler{pol: pol, free: make([]bool, cc.GPUs), nFree: cc.GPUs}
-	for r := range s.free {
-		s.free[r] = true
-	}
+	s := &Scheduler{pol: pol, free: make([]bool, cc.GPUs)}
 	if n := cc.ShardCount(); n > 0 {
 		s.ss = des.NewShardSet(n)
 		s.ss.SetRecorder(cc.Obs)
@@ -161,6 +169,10 @@ func New(cc cluster.Config, pol Policy) (*Scheduler, error) {
 		s.eng.SetRecorder(cc.Obs)
 	}
 	s.cl = cluster.New(s.eng, cc)
+	s.nodeFree = make([]int, len(s.cl.Nodes))
+	for r := range s.free {
+		s.setFree(r, true)
+	}
 	return s, nil
 }
 
@@ -253,7 +265,8 @@ func validateSpecs(specs []JobSpec, totalRanks int) error {
 // until arrive runs (Run registers whole batches up front so job IDs follow
 // submission order even when arrivals are out of order).
 func (s *Scheduler) register(sp JobSpec) *jobRec {
-	rec := &jobRec{spec: sp, id: len(s.recs), want: sp.Job.GangWant(), weight: sp.Weight, minGang: sp.MinGang, arrival: sp.At,
+	rec := &jobRec{job: sp.Job, name: sp.Job.RunName(), id: len(s.recs), want: sp.Job.GangWant(),
+		weight: sp.Weight, minGang: sp.MinGang, arrival: sp.At,
 		class: sp.Class, deadline: sp.Deadline, downgrade: sp.DowngradeOnMiss, elastic: sp.Elastic}
 	if rec.weight == 0 {
 		rec.weight = 1
@@ -263,6 +276,39 @@ func (s *Scheduler) register(sp JobSpec) *jobRec {
 	}
 	s.recs = append(s.recs, rec)
 	return rec
+}
+
+// setState moves rec between idle, waiting and running. It is the only
+// writer of rec.waiting and rec.running and of the two aggregates derived
+// from them, so every transition — arrive, start, finish, requeue, cancel
+// — costs the same few steps however many jobs came before.
+func (s *Scheduler) setState(rec *jobRec, waiting, running bool) {
+	switch was, is := rec.waiting || rec.running, waiting || running; {
+	case is && !was:
+		s.demand += rec.weight
+	case was && !is:
+		s.demand -= rec.weight
+	}
+	if running != rec.running {
+		i, _ := slices.BinarySearchFunc(s.running, rec.id, func(r *jobRec, id int) int { return r.id - id })
+		if running {
+			s.running = slices.Insert(s.running, i, rec)
+		} else {
+			s.running = slices.Delete(s.running, i, i+1)
+		}
+	}
+	rec.waiting, rec.running = waiting, running
+}
+
+// setFree marks global rank r idle or busy.
+func (s *Scheduler) setFree(r int, free bool) {
+	d := 1
+	if !free {
+		d = -1
+	}
+	s.free[r] = free
+	s.nodeFree[s.cl.NodeOfRank(r).ID] += d
+	s.nFree += d
 }
 
 // arrive enters a registered job into the admission queue at the current
@@ -275,7 +321,7 @@ func (s *Scheduler) arrive(rec *jobRec) {
 			if !rec.downgrade {
 				rec.rejected = true
 				if r := s.cl.Obs; r.Enabled() {
-					r.Emit(int64(rec.arrival), obs.CatSim, "sched/"+rec.spec.Job.RunName(), "slo.reject",
+					r.Emit(int64(rec.arrival), obs.CatSim, "sched/"+rec.name, "slo.reject",
 						obs.A("class", rec.class.String()))
 				}
 				return
@@ -284,7 +330,7 @@ func (s *Scheduler) arrive(rec *jobRec) {
 			rec.class = Batch
 		}
 	}
-	rec.waiting = true
+	s.setState(rec, true, false)
 	s.enqueue(rec)
 	s.admit()
 }
@@ -356,10 +402,10 @@ func (s *Scheduler) Cancel(id int) bool {
 			break
 		}
 	}
-	rec.waiting = false
+	s.setState(rec, false, false)
 	rec.cancelled = true
 	if r := s.cl.Obs; r.Enabled() {
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.spec.Job.RunName(), "cancel")
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, "cancel")
 	}
 	return true
 }
@@ -368,7 +414,7 @@ func (s *Scheduler) Cancel(id int) bool {
 func (s *Scheduler) QueueLen() int { return len(s.queue) }
 
 // Running is the number of jobs currently holding gangs.
-func (s *Scheduler) Running() int { return s.nRun }
+func (s *Scheduler) Running() int { return len(s.running) }
 
 // FreeRanks is the number of idle GPU ranks.
 func (s *Scheduler) FreeRanks() int { return s.nFree }
@@ -387,7 +433,7 @@ func (s *Scheduler) Trace(makespan des.Time) *ClusterTrace {
 		}
 		jt := JobTrace{
 			ID:         rec.id,
-			Name:       rec.spec.Job.RunName(),
+			Name:       rec.name,
 			Want:       rec.want,
 			Granted:    len(rec.gang),
 			Weight:     rec.weight,
@@ -455,6 +501,12 @@ func (s *Scheduler) admit() {
 	reserved := false
 	i := 0
 	for i < len(s.queue) {
+		if i > 0 && s.nFree == 0 {
+			// Past the head nothing can start: every policy's smallest gang
+			// is one rank. The head itself is always looked at, because a
+			// blocked head preempts and reserves.
+			break
+		}
 		rec := s.queue[i]
 		size, ok := s.gangFor(rec)
 		if !ok {
@@ -501,7 +553,7 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 	case FIFOExclusive:
 		// One tenant at a time holding the whole machine; the gang itself
 		// is the requested size (idle remainder ranks stay reserved).
-		if s.nRun > 0 {
+		if len(s.running) > 0 {
 			return 0, false
 		}
 		return rec.want, true
@@ -547,18 +599,10 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 }
 
 // fairShare is rec's WeightedFair allocation against every job currently
-// in the system (running or waiting), capped at its request.
+// in the system (running or waiting, rec among them), capped at its
+// request.
 func (s *Scheduler) fairShare(rec *jobRec) int {
-	demand := 0
-	for _, r := range s.recs {
-		if r.running || r.waiting {
-			demand += r.weight
-		}
-	}
-	if demand == 0 {
-		demand = rec.weight
-	}
-	size := s.cl.Ranks() * rec.weight / demand
+	size := s.cl.Ranks() * rec.weight / s.demand
 	if size > rec.want {
 		size = rec.want
 	}
@@ -576,16 +620,9 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 		rec.leased = rec.gang
 	}
 	rec.admit = s.eng.Now()
-	rec.waiting = false
-	rec.running = true
-	s.nRun++
-	if ce, ok := rec.spec.Job.(core.CostEstimator); ok {
-		// Cached for the EASY reservation walk: this launch's predicted
-		// end is admit + est.
-		rec.est, rec.estOK = ce.EstimateCost(s.cl, len(rec.gang)), true
-	}
+	s.setState(rec, false, true)
 	if r := s.cl.Obs; r.Enabled() {
-		stream := "sched/" + rec.spec.Job.RunName()
+		stream := "sched/" + rec.name
 		if rec.class != Batch || rec.deadline > 0 {
 			// Class tag only when the submission used SLO features, so
 			// pre-class recordings stay byte-identical.
@@ -605,7 +642,7 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 		s.dispatch(rec)
 		return
 	}
-	err := rec.spec.Job.LaunchOn(s.eng, s.cl, rec.gang, func(tr *core.Trace) {
+	err := rec.job.LaunchOn(s.eng, s.cl, rec.gang, func(tr *core.Trace) {
 		s.finish(rec, tr)
 		s.admit()
 	})
@@ -617,7 +654,7 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 		// mode one tenant's bad job must not take the service down: the
 		// failure is scoped to the job (rec.err, OnDone) and the batch-run
 		// abort stays the Run wrapper's business via launchE.
-		rec.err = fmt.Errorf("sched: launching job %q: %w", rec.spec.Job.RunName(), err)
+		rec.err = fmt.Errorf("sched: launching job %q: %w", rec.name, err)
 		if s.launchE == nil {
 			s.launchE = rec.err
 		}
@@ -630,16 +667,16 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 // fabric latency. Both stamps are pure functions of the simulation — hub
 // decision time, gang node IDs, per-key sequence — so the merged event
 // order is identical at every shard count, including 1. All scheduler
-// state stays hub-confined: the home shard only reads the immutable spec
-// and posts results back.
+// state stays hub-confined: the home shard only launches the job and posts
+// results back.
 func (s *Scheduler) dispatch(rec *jobRec) {
-	name := rec.spec.Job.RunName()
+	name := rec.name
 	home := s.homeOf(rec.gang)
 	key := s.cl.NodeOfRank(rec.gang[0]).ID
 	gang := rec.gang
 	s.ss.Post(s.eng, home, hubKey, s.launchLat, name+".launch", func(p *des.Proc) {
 		homeEng := p.Engine()
-		err := rec.spec.Job.LaunchOn(homeEng, s.cl, gang, func(tr *core.Trace) {
+		err := rec.job.LaunchOn(homeEng, s.cl, gang, func(tr *core.Trace) {
 			s.ss.Post(homeEng, 0, key, s.doneLat, name+".done", func(q *des.Proc) {
 				s.finish(rec, tr)
 				s.admit()
@@ -674,8 +711,7 @@ func (s *Scheduler) finish(rec *jobRec, tr *core.Trace) {
 	rec.quiescing, rec.qCancel, rec.growPending = false, false, false
 	rec.finish = s.eng.Now()
 	rec.trace = tr
-	rec.running = false
-	s.nRun--
+	s.setState(rec, false, false)
 	if s.OnDone != nil {
 		s.OnDone(rec.id, tr, rec.err)
 	}
@@ -685,12 +721,11 @@ func (s *Scheduler) finish(rec *jobRec, tr *core.Trace) {
 // releaseRanks frees rec's whole lease.
 func (s *Scheduler) releaseRanks(rec *jobRec) {
 	for _, r := range rec.leased {
-		s.free[r] = true
+		s.setFree(r, true)
 		// Straggler derating injected by the tenant's fault plan is
 		// scoped to its lease: the next tenant gets nominal hardware.
 		s.cl.Derate(r, 1)
 	}
-	s.nFree += len(rec.leased)
 }
 
 // place claims size free global ranks (marking them busy), topology-aware:
@@ -707,7 +742,7 @@ func (s *Scheduler) place(size int) []int {
 		bestFree := 0
 		// Tier 1: the largest fully-idle node that fits entirely.
 		for ni, node := range s.cl.Nodes {
-			free := s.freeOn(ni)
+			free := s.nodeFree[ni]
 			if free == len(node.GPUs) && free <= need && free > bestFree {
 				best, bestFree = ni, free
 			}
@@ -715,8 +750,7 @@ func (s *Scheduler) place(size int) []int {
 		if best < 0 {
 			// Tier 2: best fit — the node with the fewest free ranks that
 			// still covers the remainder.
-			for ni := range s.cl.Nodes {
-				free := s.freeOn(ni)
+			for ni, free := range s.nodeFree {
 				if free >= need && (best < 0 || free < bestFree) {
 					best, bestFree = ni, free
 				}
@@ -725,8 +759,7 @@ func (s *Scheduler) place(size int) []int {
 		if best < 0 {
 			// Tier 3: no single node covers the remainder — take the
 			// fullest idle node and keep going.
-			for ni := range s.cl.Nodes {
-				free := s.freeOn(ni)
+			for ni, free := range s.nodeFree {
 				if free > bestFree {
 					best, bestFree = ni, free
 				}
@@ -744,8 +777,7 @@ func (s *Scheduler) place(size int) []int {
 				break
 			}
 			if s.free[dev.ID] {
-				s.free[dev.ID] = false
-				s.nFree--
+				s.setFree(dev.ID, false)
 				gang = append(gang, dev.ID)
 				take--
 			}
@@ -767,12 +799,11 @@ func (s *Scheduler) placeNodes(size int) (gang, leased []int) {
 		if len(leased) >= size {
 			break
 		}
-		if s.freeOn(ni) != len(node.GPUs) {
+		if s.nodeFree[ni] != len(node.GPUs) {
 			continue
 		}
 		for _, dev := range node.GPUs {
-			s.free[dev.ID] = false
-			s.nFree--
+			s.setFree(dev.ID, false)
 			leased = append(leased, dev.ID)
 		}
 	}
@@ -780,15 +811,4 @@ func (s *Scheduler) placeNodes(size int) (gang, leased []int) {
 		panic(fmt.Sprintf("sched: leasing %d ranks with %d free (node lease invariant broken)", size, s.nFree+len(leased)))
 	}
 	return leased[:size], leased
-}
-
-// freeOn counts a node's idle ranks.
-func (s *Scheduler) freeOn(node int) int {
-	n := 0
-	for _, dev := range s.cl.Nodes[node].GPUs {
-		if s.free[dev.ID] {
-			n++
-		}
-	}
-	return n
 }

@@ -15,15 +15,31 @@ import (
 // opt-in — with zero-valued Policy and JobSpec SLO fields none of these
 // paths run, and the scheduler behaves byte-for-byte as before.
 
+// gangEst is one remembered answer of the cost model.
+type gangEst struct {
+	gang int
+	est  des.Time
+}
+
 // estimate asks the cost model for rec's service time on a gang of the
 // given size. ok is false when the job cannot predict itself (it does
-// not implement core.CostEstimator).
+// not implement core.CostEstimator). The model is a pure function of the
+// job, the hardware and the gang size that re-walks every chunk, so each
+// (job, gang size) is asked once and remembered; a job nobody prices —
+// no Reserve, no deadline, no Retry-After hint — is never asked.
 func (s *Scheduler) estimate(rec *jobRec, gang int) (des.Time, bool) {
-	ce, ok := rec.spec.Job.(core.CostEstimator)
+	ce, ok := rec.job.(core.CostEstimator)
 	if !ok {
 		return 0, false
 	}
-	return ce.EstimateCost(s.cl, gang), true
+	for _, e := range rec.ests {
+		if e.gang == gang {
+			return e.est, true
+		}
+	}
+	est := ce.EstimateCost(s.cl, gang)
+	rec.ests = append(rec.ests, gangEst{gang, est})
+	return est, true
 }
 
 // nominalSize is the gang a job is priced at for admission prediction:
@@ -64,11 +80,11 @@ func (s *Scheduler) needFor(rec *jobRec) int {
 }
 
 // reserveStart predicts when `need` ranks will be idle, by walking the
-// running jobs' predicted completions (admit + cached estimate, clamped
-// to now when a job overruns its estimate) in end order and accumulating
-// their leases onto the current idle set. ok is false when any running
-// job is unpredictable — no reservation can then be made, and callers
-// fall back to plain (pre-Reserve) behaviour.
+// running jobs' predicted completions (admit + estimate for the granted
+// gang, clamped to now when a job overruns its estimate) in end order
+// and accumulating their leases onto the current idle set. ok is false
+// when any running job is unpredictable — no reservation can then be
+// made, and callers fall back to plain (pre-Reserve) behaviour.
 func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 	now := s.eng.Now()
 	avail := s.nFree
@@ -80,14 +96,12 @@ func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 		ranks int
 	}
 	var ends []release
-	for _, r := range s.recs {
-		if !r.running {
-			continue
-		}
-		if !r.estOK {
+	for _, r := range s.running {
+		est, ok := s.estimate(r, len(r.gang))
+		if !ok {
 			return 0, false
 		}
-		at := r.admit + r.est
+		at := r.admit + est
 		if at < now {
 			// Overdue estimate: the job could finish at any moment, so the
 			// reservation is "now" — conservative for backfill, which then
@@ -122,7 +136,7 @@ func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
 	}
 	var wait des.Time
 	blocked := len(s.queue) > 0 || s.nFree < s.needFor(rec) ||
-		(s.pol.Kind == FIFOExclusive && s.nRun > 0)
+		(s.pol.Kind == FIFOExclusive && len(s.running) > 0)
 	if blocked {
 		at, ok := s.reserveStart(s.needFor(rec))
 		if !ok {
@@ -156,8 +170,8 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 	need := s.needFor(head)
 	avail := s.nFree
 	draining := false
-	for _, r := range s.recs {
-		if r.running && r.quiescing {
+	for _, r := range s.running {
+		if r.quiescing {
 			avail += len(r.leased)
 			draining = true
 		}
@@ -166,11 +180,11 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 		return draining
 	}
 	var cands []*jobRec
-	for _, r := range s.recs {
-		if !r.running || r.quiescing || r.class >= head.class {
+	for _, r := range s.running {
+		if r.quiescing || r.class >= head.class {
 			continue
 		}
-		if _, ok := r.spec.Job.(core.Preemptible); !ok {
+		if _, ok := r.job.(core.Preemptible); !ok {
 			continue
 		}
 		cands = append(cands, r)
@@ -207,17 +221,18 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 // now-idle ranks plus its own would at least double it (capped at its
 // fair share). It is checkpointed like a preemption victim; floorGang
 // forces the relaunch strictly wider. One grow per admission pass keeps
-// the churn bounded. Only called with an empty queue — growing must
-// never starve waiting jobs.
+// the churn bounded: the first match in job-ID order, which is the order
+// s.running keeps. Only called with an empty queue — growing must never
+// starve waiting jobs.
 func (s *Scheduler) growBack() {
 	if s.pol.Kind != WeightedFair {
 		return
 	}
-	for _, r := range s.recs {
-		if !r.running || r.quiescing || !r.elastic {
+	for _, r := range s.running {
+		if r.quiescing || !r.elastic {
 			continue
 		}
-		if _, ok := r.spec.Job.(core.Preemptible); !ok {
+		if _, ok := r.job.(core.Preemptible); !ok {
 			continue
 		}
 		cur := len(r.gang)
@@ -244,7 +259,7 @@ func (s *Scheduler) growBack() {
 // core scheduler is engine-confined — so it travels the same hub->home
 // post edge as the launch itself.
 func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
-	p, ok := rec.spec.Job.(core.Preemptible)
+	p, ok := rec.job.(core.Preemptible)
 	if !ok || !rec.running || rec.quiescing {
 		return false
 	}
@@ -258,11 +273,11 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 		case rec.growPending:
 			why = "grow"
 		}
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.spec.Job.RunName(), "preempt", obs.A("why", why))
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, "preempt", obs.A("why", why))
 	}
 	if s.ss != nil {
 		home := s.homeOf(rec.gang)
-		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.spec.Job.RunName()+".preempt", func(q *des.Proc) {
+		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.name+".preempt", func(q *des.Proc) {
 			p.PreemptLaunch()
 		})
 	} else {
@@ -280,17 +295,15 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 func (s *Scheduler) requeue(rec *jobRec) {
 	cancel, grow, oldSize := rec.qCancel, rec.growPending, len(rec.gang)
 	rec.quiescing, rec.qCancel, rec.growPending = false, false, false
-	rec.running = false
-	s.nRun--
+	s.setState(rec, !cancel, false)
 	s.releaseRanks(rec)
 	rec.gang, rec.leased = nil, nil
-	rec.est, rec.estOK = 0, false
 	if r := s.cl.Obs; r.Enabled() {
 		kind := "requeue"
 		if cancel {
 			kind = "preempt.cancel"
 		}
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.spec.Job.RunName(), kind)
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, kind)
 	}
 	if cancel {
 		rec.cancelled = true
@@ -304,7 +317,6 @@ func (s *Scheduler) requeue(rec *jobRec) {
 		rec.floorGang = oldSize + 1
 	}
 	rec.preempts++
-	rec.waiting = true
 	if s.OnRequeue != nil {
 		s.OnRequeue(rec.id, false)
 	}

@@ -426,6 +426,17 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		r.Emit(int64(now), obs.CatSim, "serve/"+name, "arrive", attrs...)
 	}
 
+	// Parse and build before taking mu: a build runs for milliseconds (wo's
+	// dictionary and hash), and mu is what every HTTP reader waits on. The
+	// outcomes are judged below, in the order they always were — bad class,
+	// bad build, shed, quota.
+	cls, clsErr := sched.ParseClass(req.Class)
+	var run core.Runnable
+	var buildErr error
+	if clsErr == nil {
+		run, buildErr = ses.cfg.Catalog.Build(req.Kind, name, req.Params)
+	}
+
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
 	ses.jobs = append(ses.jobs, info)
@@ -444,7 +455,6 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		return *info
 	}
 
-	cls, clsErr := sched.ParseClass(req.Class)
 	if clsErr != nil {
 		return reject(clsErr.Error(), "invalid", &ses.stats.RejectedInvalid)
 	}
@@ -460,9 +470,8 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		cs.Submitted++
 	}
 
-	run, err := ses.cfg.Catalog.Build(req.Kind, name, req.Params)
-	if err != nil {
-		return reject(err.Error(), "invalid", &ses.stats.RejectedInvalid)
+	if buildErr != nil {
+		return reject(buildErr.Error(), "invalid", &ses.stats.RejectedInvalid)
 	}
 	info.Want = run.GangWant()
 	if ses.cfg.MaxQueue >= 0 && ses.sch.QueueLen() >= ses.cfg.MaxQueue {
