@@ -58,26 +58,12 @@ func main() {
 	if *summary {
 		fmt.Print(obs.Summarize(opts.Obs.Canonical()).String())
 	}
+	which := ""
 	if *explain {
-		evs := opts.Obs.Canonical()
-		for _, k := range obs.Jobs(evs) {
-			fmt.Print(obs.Explain(evs, k).String())
-		}
+		which = "all"
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
-			os.Exit(1)
-		}
-		if err := opts.Obs.WriteChrome(f); err != nil {
-			fmt.Fprintf(os.Stderr, "gpmrsim: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "gpmrsim: flight recording (%d events) written to %s\n", opts.Obs.Len(), *tracePath)
+	if err := opts.Obs.Finish(os.Stdout, "gpmrsim", which, *tracePath); err != nil {
+		fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
+		os.Exit(1)
 	}
 }

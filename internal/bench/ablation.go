@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/lr"
 	"repro/internal/apps/sio"
 	"repro/internal/apps/wo"
+	"repro/internal/core"
 	"repro/internal/des"
 )
 
@@ -20,124 +21,77 @@ type AblationRow struct {
 	Slowdown float64 // Variant / Chosen (>1 means the paper chose right)
 }
 
-// Ablation regenerates the design-choice comparisons the paper argues in
-// prose: Accumulation for WO/KMC/LR ("dramatically worse" without),
-// Partial Reduction and Combine for SIO (rejected: no speedup / slowdown),
-// the WO partitioner crossover, and GPUDirect (the future-work wish).
+// runFn runs one configuration of a job.
+type runFn func(o Options) (*core.Trace, error)
+
+// jobRun adapts a typed job builder and its parameters to a runFn.
+func jobRun[P, V any](build func(P, Options) *core.Job[V], p P) runFn {
+	return func(o Options) (*core.Trace, error) { return traceOf(o, build(p, o)) }
+}
+
+// sioDirectJob is sioJob on GPUDirect hardware.
+func sioDirectJob(p sio.Params, o Options) *core.Job[uint32] {
+	job := sioJob(p, o)
+	job.Config.GPUDirect = true
+	return job
+}
+
+// ablations are the design-choice comparisons the paper argues in prose.
+// A nil chosen shares the run of the row above.
+var ablations = []struct {
+	name            string
+	chosen, variant runFn
+}{
+	// Accumulation at mid-size inputs on 8 GPUs ("dramatically worse"
+	// without).
+	{"wo: no accumulation",
+		jobRun(woJob, wo.Params{Bytes: 64 << 20, GPUs: 8}),
+		jobRun(woJob, wo.Params{Bytes: 64 << 20, GPUs: 8, NoAccumulation: true})},
+	{"kmc: no accumulation",
+		jobRun(kmcJob, kmc.Params{Points: 32 << 20, GPUs: 8}),
+		jobRun(kmcJob, kmc.Params{Points: 32 << 20, GPUs: 8, NoAccumulation: true})},
+	{"lr: no accumulation",
+		jobRun(lrJob, lr.Params{Points: 64 << 20, GPUs: 8}),
+		jobRun(lrJob, lr.Params{Points: 64 << 20, GPUs: 8, NoAccumulation: true})},
+	// SIO's rejected substages (no speedup / slowdown).
+	{"sio: partial reduce",
+		jobRun(sioJob, sio.Params{Elements: 32 << 20, GPUs: 8}),
+		jobRun(sioJob, sio.Params{Elements: 32 << 20, GPUs: 8, UsePartialReduce: true})},
+	{"sio: combine",
+		nil,
+		jobRun(sioJob, sio.Params{Elements: 32 << 20, GPUs: 8, UseCombiner: true})},
+	// The WO partitioner crossover: at 64 GPUs the partitioner must win.
+	{"wo@64GPU: partitioner off",
+		jobRun(woJob, wo.Params{Bytes: 512 << 20, GPUs: 64, ForcePartitioner: 1}),
+		jobRun(woJob, wo.Params{Bytes: 512 << 20, GPUs: 64, ForcePartitioner: -1})},
+	// GPUDirect: the paper's closing hardware wish, as a what-if.
+	{"sio@64GPU: gpudirect",
+		jobRun(sioJob, sio.Params{Elements: 128 << 20, GPUs: 64}),
+		jobRun(sioDirectJob, sio.Params{Elements: 128 << 20, GPUs: 64})},
+}
+
+// Ablation regenerates the design-choice comparisons: each row runs the
+// paper's configuration and one variant of it.
 func Ablation(o Options) ([]AblationRow, error) {
 	o = o.withDefaults()
 	var rows []AblationRow
-
-	add := func(name string, chosen, variant des.Time) {
-		rows = append(rows, AblationRow{Name: name, Chosen: chosen, Variant: variant,
-			Slowdown: float64(variant) / float64(chosen)})
-	}
-
-	// Accumulation ablations at mid-size inputs on 8 GPUs.
-	{
-		base := wo.NewJob(wo.Params{Bytes: 64 << 20, GPUs: 8, PhysMax: o.PhysBudget, DictSize: woDict(o), Seed: o.Seed})
-		base.Job.Config.Workers = o.Workers
-		rb, err := base.Job.Run()
+	var chosen *core.Trace
+	defer o.Obs.SetPrefix("") // one recorder timeline per run
+	for _, a := range ablations {
+		var err error
+		if a.chosen != nil {
+			o.Obs.SetPrefix(a.name + "/chosen/")
+			if chosen, err = a.chosen(o); err != nil {
+				return nil, err
+			}
+		}
+		o.Obs.SetPrefix(a.name + "/variant/")
+		variant, err := a.variant(o)
 		if err != nil {
 			return nil, err
 		}
-		noacc := wo.NewJob(wo.Params{Bytes: 64 << 20, GPUs: 8, PhysMax: o.PhysBudget, DictSize: woDict(o), Seed: o.Seed, NoAccumulation: true})
-		noacc.Job.Config.Workers = o.Workers
-		rn, err := noacc.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("wo: no accumulation", rb.Trace.Wall, rn.Trace.Wall)
-	}
-	{
-		base := kmc.NewJob(kmc.Params{Points: 32 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed})
-		base.Job.Config.Workers = o.Workers
-		rb, err := base.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		noacc := kmc.NewJob(kmc.Params{Points: 32 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed, NoAccumulation: true})
-		noacc.Job.Config.Workers = o.Workers
-		rn, err := noacc.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("kmc: no accumulation", rb.Trace.Wall, rn.Trace.Wall)
-	}
-	{
-		base := lr.NewJob(lr.Params{Points: 64 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed})
-		base.Job.Config.Workers = o.Workers
-		rb, err := base.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		noacc := lr.NewJob(lr.Params{Points: 64 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed, NoAccumulation: true})
-		noacc.Job.Config.Workers = o.Workers
-		rn, err := noacc.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("lr: no accumulation", rb.Trace.Wall, rn.Trace.Wall)
-	}
-
-	// SIO's rejected substages.
-	{
-		base, _ := sio.NewJob(sio.Params{Elements: 32 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed})
-		base.Config.Workers = o.Workers
-		rb, err := base.Run()
-		if err != nil {
-			return nil, err
-		}
-		pr, _ := sio.NewJob(sio.Params{Elements: 32 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed, UsePartialReduce: true})
-		pr.Config.Workers = o.Workers
-		rp, err := pr.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("sio: partial reduce", rb.Trace.Wall, rp.Trace.Wall)
-		cb, _ := sio.NewJob(sio.Params{Elements: 32 << 20, GPUs: 8, PhysMax: o.PhysBudget, Seed: o.Seed, UseCombiner: true})
-		cb.Config.Workers = o.Workers
-		rc, err := cb.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("sio: combine", rb.Trace.Wall, rc.Trace.Wall)
-	}
-
-	// WO partitioner crossover: at 64 GPUs the partitioner must win; at 4
-	// GPUs the single-reducer configuration must win.
-	{
-		on := wo.NewJob(wo.Params{Bytes: 512 << 20, GPUs: 64, PhysMax: o.PhysBudget, DictSize: woDict(o), Seed: o.Seed, ForcePartitioner: 1})
-		on.Job.Config.Workers = o.Workers
-		ron, err := on.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		off := wo.NewJob(wo.Params{Bytes: 512 << 20, GPUs: 64, PhysMax: o.PhysBudget, DictSize: woDict(o), Seed: o.Seed, ForcePartitioner: -1})
-		off.Job.Config.Workers = o.Workers
-		roff, err := off.Job.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("wo@64GPU: partitioner off", ron.Trace.Wall, roff.Trace.Wall)
-	}
-
-	// GPUDirect: the paper's closing hardware wish, as a what-if.
-	{
-		base, _ := sio.NewJob(sio.Params{Elements: 128 << 20, GPUs: 64, PhysMax: o.PhysBudget, Seed: o.Seed})
-		base.Config.Workers = o.Workers
-		rb, err := base.Run()
-		if err != nil {
-			return nil, err
-		}
-		direct, _ := sio.NewJob(sio.Params{Elements: 128 << 20, GPUs: 64, PhysMax: o.PhysBudget, Seed: o.Seed})
-		direct.Config.Workers = o.Workers
-		direct.Config.GPUDirect = true
-		rd, err := direct.Run()
-		if err != nil {
-			return nil, err
-		}
-		add("sio@64GPU: gpudirect", rb.Trace.Wall, rd.Trace.Wall)
+		rows = append(rows, AblationRow{Name: a.name, Chosen: chosen.Wall, Variant: variant.Wall,
+			Slowdown: float64(variant.Wall) / float64(chosen.Wall)})
 	}
 	return rows, nil
 }

@@ -27,18 +27,10 @@ type FaultRow struct {
 	MapDone   des.Time
 	WireBytes int64
 
-	// Recovery cost: lost chunks re-executed by survivors, the input
-	// re-fetch traffic for them, and the failed rank's partition-handoff
-	// relay traffic.
-	ChunksRecovered int
-	RecoveredBytes  int64
-	RelayBytes      int64
-
-	// Speculation outcome.
-	SpecLaunched  int
-	SpecWon       int
-	ChunksWasted  int
-	ChunksSkipped int
+	// RecoveryStats is the recovery cost (lost chunks re-executed by
+	// survivors, their input re-fetch traffic, the failed rank's
+	// partition-handoff relay traffic) and the speculation outcome.
+	core.RecoveryStats
 
 	// OutputOK reports that the scenario's gathered output is
 	// byte-identical to the failure-free baseline.
@@ -49,15 +41,12 @@ type FaultRow struct {
 // eight GPUs with gathered output so scenarios are comparable byte for
 // byte.
 func faultJob(o Options) *core.Job[uint32] {
-	job, _ := sio.NewJob(sio.Params{
+	job := sioJob(sio.Params{
 		Elements: 32 << 20,
 		GPUs:     FaultGPUs,
-		Seed:     o.Seed,
-		PhysMax:  o.PhysBudget,
 		ChunkCap: 1 << 20, // many small chunks: failures always strike mid-map
-	})
+	}, o)
 	job.Config.GatherOutput = true
-	job.Config.Workers = o.Workers
 	return job
 }
 
@@ -76,41 +65,12 @@ func faultJob(o Options) *core.Job[uint32] {
 // options give bit-identical rows, including the recovery traffic.
 func Faults(o Options) ([]FaultRow, error) {
 	o = o.withDefaults()
-	base, err := faultJob(o).Run()
-	if err != nil {
-		return nil, err
-	}
-
-	row := func(name string, res *core.Result[uint32]) FaultRow {
-		rec := res.Trace.Recovery()
-		var mapDone des.Time
-		for _, r := range res.Trace.Ranks {
-			if r.MapDone > mapDone {
-				mapDone = r.MapDone
-			}
-		}
-		return FaultRow{
-			Scenario:        name,
-			Wall:            res.Trace.Wall,
-			MapDone:         mapDone,
-			WireBytes:       res.Trace.WireBytes,
-			ChunksRecovered: rec.ChunksRecovered,
-			RecoveredBytes:  rec.RecoveredBytes,
-			RelayBytes:      rec.RelayBytes,
-			SpecLaunched:    rec.SpecLaunched,
-			SpecWon:         rec.SpecWon,
-			ChunksWasted:    rec.ChunksWasted,
-			ChunksSkipped:   rec.ChunksSkipped,
-			OutputOK:        keyval.Equal(&res.Output, &base.Output),
-		}
-	}
-	rows := []FaultRow{row("baseline", base)}
-
 	scenarios := []struct {
 		name      string
 		plan      *fault.Plan
 		speculate bool
 	}{
+		{"baseline", nil, false},
 		// The fail-stop strikes after rank 2's third chunk (of four): late
 		// enough that its host memory holds shuffle pairs to hand off,
 		// early enough that lost chunks remain to re-execute.
@@ -118,15 +78,33 @@ func Faults(o Options) ([]FaultRow, error) {
 		{"straggler", &fault.Plan{Events: []fault.Event{fault.SlowdownAfterChunks(5, 1, 8)}}, false},
 		{"straggler+spec", &fault.Plan{Events: []fault.Event{fault.SlowdownAfterChunks(5, 1, 8)}}, true},
 	}
+	var rows []FaultRow
+	var base *core.Result[uint32] // the failure-free run: the first scenario
+	defer o.Obs.SetPrefix("")
 	for _, sc := range scenarios {
 		job := faultJob(o)
 		job.Config.Faults = sc.plan
 		job.Config.Speculate = sc.speculate
-		res, err := job.Run()
+		o.Obs.SetPrefix(sc.name + "/") // one recorder timeline per scenario
+		res, err := runExclusive(o, job)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row(sc.name, res))
+		if base == nil {
+			base = res
+		}
+		var mapDone des.Time
+		for _, r := range res.Trace.Ranks {
+			mapDone = max(mapDone, r.MapDone)
+		}
+		rows = append(rows, FaultRow{
+			Scenario:      sc.name,
+			Wall:          res.Trace.Wall,
+			MapDone:       mapDone,
+			WireBytes:     res.Trace.WireBytes,
+			RecoveryStats: res.Trace.Recovery(),
+			OutputOK:      keyval.Equal(&res.Output, &base.Output),
+		})
 	}
 	return rows, nil
 }

@@ -9,17 +9,6 @@ import (
 	"repro/internal/des"
 )
 
-// Fig3Sizes are the strong-scaling input sets of Table 1 (first sets),
-// largest last. MM sizes are matrix edges; WO sizes are bytes; the rest
-// are element counts.
-var Fig3Sizes = map[string][]int64{
-	"mm":  {2048, 4096, 16384},
-	"sio": {1 << 20, 8 << 20, 32 << 20, 128 << 20},
-	"wo":  {1 << 20, 16 << 20, 64 << 20, 512 << 20},
-	"kmc": {1 << 20, 8 << 20, 32 << 20, 512 << 20},
-	"lr":  {1 << 20, 16 << 20, 64 << 20, 512 << 20},
-}
-
 // EffPoint is one point on a Figure 3 curve.
 type EffPoint struct {
 	GPUs       int
@@ -45,13 +34,13 @@ type Fig3Result struct {
 // benchmark.
 func Fig3(benchName string, o Options) (*Fig3Result, error) {
 	o = o.withDefaults()
-	sizes, ok := Fig3Sizes[benchName]
+	a, ok := appNamed(benchName)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
 	}
 	res := &Fig3Result{Bench: benchName}
-	for _, size := range sizes {
-		s := Fig3Series{Size: size, Label: sizeLabel(benchName, size)}
+	for _, size := range a.fig3 {
+		s := Fig3Series{Size: size, Label: a.label(size)}
 		var base des.Time
 		for _, g := range o.GPUCounts {
 			wall, _, err := Run(benchName, size, g, o)
@@ -74,17 +63,6 @@ func Fig3(benchName string, o Options) (*Fig3Result, error) {
 	return res, nil
 }
 
-func sizeLabel(benchName string, size int64) string {
-	switch benchName {
-	case "mm":
-		return fmt.Sprintf("%d x %d", size, size)
-	case "wo":
-		return fmt.Sprintf("%dM bytes", size>>20)
-	default:
-		return fmt.Sprintf("%dM elements", size>>20)
-	}
-}
-
 // Render writes the curves as an aligned text table.
 func (r *Fig3Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 3 — %s parallel efficiency (Efficiency = Speedup/#GPUs)\n", strings.ToUpper(r.Bench))
@@ -102,11 +80,6 @@ func (r *Fig3Result) Render(w io.Writer) {
 	}
 }
 
-// Fig2Sizes are the largest datasets, which Figure 2 uses.
-var Fig2Sizes = map[string]int64{
-	"mm": 16384, "sio": 128 << 20, "wo": 512 << 20, "kmc": 512 << 20, "lr": 512 << 20,
-}
-
 // Fig2GPUCounts are the cluster sizes shown in Figure 2.
 var Fig2GPUCounts = []int{1, 8, 64}
 
@@ -122,13 +95,13 @@ type Fig2Row struct {
 func Fig2(o Options) ([]Fig2Row, error) {
 	o = o.withDefaults()
 	var rows []Fig2Row
-	for _, b := range Benchmarks {
+	for _, a := range apps {
 		for _, g := range Fig2GPUCounts {
-			wall, tr, err := Run(b, Fig2Sizes[b], g, o)
+			wall, tr, err := Run(a.name, a.fig3[len(a.fig3)-1], g, o)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, Fig2Row{Bench: b, GPUs: g, Breakdown: tr.Breakdown(), Wall: wall})
+			rows = append(rows, Fig2Row{Bench: a.name, GPUs: g, Breakdown: tr.Breakdown(), Wall: wall})
 		}
 	}
 	return rows, nil

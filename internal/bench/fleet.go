@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/des"
 	"repro/internal/fleet"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // The fleet-routing experiment: a hot-tenant arrival stream routed onto
@@ -34,33 +32,6 @@ var fleetShardCounts = []int{2, 4}
 // fleetTenants is the skewed tenant mix: "hot" owns half the stream.
 var fleetTenants = []string{"hot", "ana", "hot", "bo", "hot", "cy"}
 
-// fleetStream builds the seeded hot-tenant arrival stream. A pure
-// function of the options, shared by every cell.
-func fleetStream(o Options) []serve.Event {
-	rng := workload.NewRNG(o.Seed + 0x9e3779b9)
-	var evs []serve.Event
-	var at des.Time
-	for i := 0; i < FleetJobs; i++ {
-		u := rng.Float64()
-		at += des.FromSeconds(4e-3 * -math.Log(1-u))
-		seed := int64(o.Seed) + int64(i)*1000
-		var kind string
-		var params serve.Params
-		switch rng.Intn(3) {
-		case 0:
-			kind, params = "wo", serve.Params{"bytes": 4 << 20, "gpus": 2, "seed": seed}
-		case 1:
-			kind, params = "kmc", serve.Params{"points": 4 << 20, "gpus": 2, "seed": seed}
-		default:
-			kind, params = "sio", serve.Params{"elements": 8 << 20, "gpus": 4, "seed": seed, "chunkcap": 1 << 20}
-		}
-		evs = append(evs, serve.Event{Arrive: &serve.Arrival{
-			Seq: i, At: at, Request: serve.Request{Tenant: fleetTenants[i%len(fleetTenants)], Kind: kind, Params: params},
-		}})
-	}
-	return evs
-}
-
 // FleetRow is one (shards, hashing mode) cell.
 type FleetRow struct {
 	Shards   int
@@ -76,7 +47,9 @@ type FleetRow struct {
 // ring, replay each shard's sub-stream, and aggregate.
 func Fleet(o Options) ([]FleetRow, error) {
 	o = o.withDefaults()
-	evs := fleetStream(o)
+	// The hot-tenant stream every cell routes: the mix without its large
+	// scan, at a 4 ms mean gap.
+	evs := arrivalEvents(o, 0x9e3779b9, FleetJobs, 4, jobMix[:3], fleetTenants)
 	var rows []FleetRow
 	for _, n := range fleetShardCounts {
 		ids := make([]string, n)

@@ -39,18 +39,17 @@ type ImbalanceRow struct {
 func Imbalance(o Options) ([]ImbalanceRow, error) {
 	o = o.withDefaults()
 	var rows []ImbalanceRow
+	defer o.Obs.SetPrefix("")
 	for _, policy := range []core.StealPolicy{core.StealGlobal, core.StealLocalFirst} {
-		job, _ := sio.NewJob(sio.Params{
+		job := sioJob(sio.Params{
 			Elements: 32 << 20,
 			GPUs:     ImbalanceGPUs,
-			Seed:     o.Seed,
-			PhysMax:  o.PhysBudget,
 			ChunkCap: 1 << 20, // many small chunks: plenty of steal events
-		})
+		}, o)
 		job.Config.StealPolicy = policy
-		job.Config.Workers = o.Workers
 		job.Assign = func(chunk int) int { return (chunk % 2) * 4 }
-		res, err := job.Run()
+		o.Obs.SetPrefix(policy.String() + "/") // one recorder timeline per policy
+		res, err := runExclusive(o, job)
 		if err != nil {
 			return nil, err
 		}

@@ -21,15 +21,14 @@ type LoCRow struct {
 	PaperPhoenix, PaperMars, PaperGPMR int
 }
 
-var table4Paper = map[string][3]int{
-	// Phoenix, Mars, GPMR per the paper's Table 4.
-	"mm": {317, 235, 214}, "kmc": {345, 152, 129}, "wo": {231, 140, 397},
-}
-
 // Table4 counts benchmark source lines. root is the repository root.
 func Table4(root string) ([]LoCRow, error) {
 	var rows []LoCRow
-	for _, b := range []string{"mm", "kmc", "wo"} {
+	for _, b := range paperColumns {
+		a, _ := appNamed(b)
+		if a.mars.wall == nil {
+			continue
+		}
 		gp, err := countPackageLines(filepath.Join(root, "internal", "apps", b))
 		if err != nil {
 			return nil, err
@@ -42,9 +41,8 @@ func Table4(root string) ([]LoCRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := table4Paper[b]
 		rows = append(rows, LoCRow{Bench: b, Phoenix: ph, Mars: ma, GPMR: gp,
-			PaperPhoenix: p[0], PaperMars: p[1], PaperGPMR: p[2]})
+			PaperPhoenix: a.paper4[0], PaperMars: a.paper4[1], PaperGPMR: a.paper4[2]})
 	}
 	return rows, nil
 }

@@ -3,16 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
-	"repro/internal/apps/kmc"
-	"repro/internal/apps/sio"
-	"repro/internal/apps/wo"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/sched"
-	"repro/internal/workload"
+	"repro/internal/serve"
 )
 
 // MultijobGPUs is the shared cluster for the multi-tenant scenario: 16
@@ -35,49 +30,28 @@ func multijobPolicies() []sched.Policy {
 	}
 }
 
-// multijobStream builds the seeded Poisson-ish arrival stream: exponential
-// inter-arrival gaps and a deterministic job-kind draw per slot, mixing
-// small WO and KMC queries with medium and large SIO scans. The stream is
-// a pure function of the options, so every policy sees byte-identical
-// submissions and two runs of the experiment are bit-identical.
-func multijobStream(o Options) []sched.JobSpec {
-	rng := workload.NewRNG(o.Seed + 0x9e3779b9)
-	// Mean inter-arrival: a fraction of a typical small job's service
-	// time, so the queue actually builds and policies differ.
-	const meanGapMs = 8.0
-	var specs []sched.JobSpec
-	var at des.Time
-	for i := 0; i < MultijobJobs; i++ {
-		u := rng.Float64()
-		gap := des.FromSeconds(meanGapMs / 1e3 * -math.Log(1-u))
-		at += gap
-		specs = append(specs, multijobJob(i, rng.Intn(4), at, o))
-	}
-	return specs
-}
+// multijobTags name the stream's jobs by mix entry: kind and size class.
+var multijobTags = []string{"wo-s", "kmc-s", "sio-m", "sio-l"}
 
-// multijobJob builds one submission. kind picks from the mix; the job
-// seed varies per slot so inputs differ across the stream.
-func multijobJob(i, kind int, at des.Time, o Options) sched.JobSpec {
-	seed := o.Seed + uint64(i)*1000
-	switch kind {
-	case 0: // small word-occurrence query
-		b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: 2, Seed: seed, PhysMax: o.PhysBudget, DictSize: woDict(o)})
-		b.Job.Config.Name = fmt.Sprintf("wo-s%d", i)
-		return sched.JobSpec{At: at, Job: &core.Scheduled[uint32]{Job: b.Job}}
-	case 1: // small k-means iteration
-		b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: 2, Seed: seed, PhysMax: o.PhysBudget})
-		b.Job.Config.Name = fmt.Sprintf("kmc-s%d", i)
-		return sched.JobSpec{At: at, Job: &core.Scheduled[float64]{Job: b.Job}}
-	case 2: // medium sparse-integer scan
-		job, _ := sio.NewJob(sio.Params{Elements: 8 << 20, GPUs: 4, Seed: seed, PhysMax: o.PhysBudget, ChunkCap: 1 << 20})
-		job.Config.Name = fmt.Sprintf("sio-m%d", i)
-		return sched.JobSpec{At: at, Job: &core.Scheduled[uint32]{Job: job}}
-	default: // large sparse-integer scan — the gang that makes others queue
-		job, _ := sio.NewJob(sio.Params{Elements: 32 << 20, GPUs: 12, Seed: seed, PhysMax: o.PhysBudget, ChunkCap: 1 << 20})
-		job.Config.Name = fmt.Sprintf("sio-l%d", i)
-		return sched.JobSpec{At: at, Job: &core.Scheduled[uint32]{Job: job}}
+// multijobStream builds the arrival stream as scheduler submissions. Mean
+// inter-arrival is a fraction of a typical small job's service time, so
+// the queue actually builds and policies differ. Jobs are built by the
+// serving layer's catalog — a scheduled wo/kmc/sio job is constructed one
+// way everywhere — with the harness's WO dictionary passed explicitly.
+func multijobStream(o Options) ([]sched.JobSpec, error) {
+	catalog := serve.DefaultCatalog(o.PhysBudget)
+	var specs []sched.JobSpec
+	for i, a := range arrivals(o, 0x9e3779b9, MultijobJobs, 8, jobMix) {
+		if a.Kind == "wo" {
+			a.Params["dict"] = int64(woDict(o))
+		}
+		job, err := catalog.Build(a.Kind, fmt.Sprintf("%s%d", multijobTags[a.kind], i), a.Params)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, sched.JobSpec{At: a.At, Job: job})
 	}
+	return specs, nil
 }
 
 // MultijobRow summarizes one policy's run over the shared stream.
@@ -110,14 +84,18 @@ func Multijob(o Options) ([]MultijobRow, []*sched.ClusterTrace, error) {
 	cc.Obs = o.Obs
 	var rows []MultijobRow
 	var traces []*sched.ClusterTrace
+	defer o.Obs.SetPrefix("")
 	for _, pol := range multijobPolicies() {
+		specs, err := multijobStream(o)
+		if err != nil {
+			return nil, nil, err
+		}
 		// Each policy replays the same stream on a fresh cluster; prefix
 		// its flight-recorder streams so the three runs stay distinct in
 		// one trace file.
 		o.Obs.SetPrefix(pol.Kind.String() + "/")
-		ct, err := sched.Run(cc, pol, multijobStream(o))
+		ct, err := sched.Run(cc, pol, specs)
 		if err != nil {
-			o.Obs.SetPrefix("")
 			return nil, nil, err
 		}
 		small := func(j *sched.JobTrace) bool { return j.Want <= MultijobSmallWant }
@@ -135,7 +113,6 @@ func Multijob(o Options) ([]MultijobRow, []*sched.ClusterTrace, error) {
 		})
 		traces = append(traces, ct)
 	}
-	o.Obs.SetPrefix("")
 	return rows, traces, nil
 }
 

@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/des"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // The open-system experiment: where multijob replays one fixed batch,
@@ -39,35 +37,11 @@ var onlineGapsMs = []float64{16, 8, 4}
 var onlineTenants = []string{"ana", "bo", "cy"}
 
 // onlineStream builds the seeded arrival stream for one load point as a
-// recorded trace body: exponential inter-arrival gaps, the multijob-style
-// kind mix (small WO/KMC queries, medium and large SIO scans), tenants
-// round-robin. A pure function of (options, gap), so every policy at a
-// given load sees byte-identical arrivals.
+// recorded trace body: the multijob kind mix, tenants round-robin. A pure
+// function of (options, gap), so every policy at a given load sees
+// byte-identical arrivals.
 func onlineStream(o Options, gapMs float64) []serve.Event {
-	rng := workload.NewRNG(o.Seed + 0x517cc1b7)
-	var evs []serve.Event
-	var at des.Time
-	for i := 0; i < OnlineJobs; i++ {
-		u := rng.Float64()
-		at += des.FromSeconds(gapMs / 1e3 * -math.Log(1-u))
-		seed := int64(o.Seed) + int64(i)*1000
-		var kind string
-		var params serve.Params
-		switch rng.Intn(4) {
-		case 0:
-			kind, params = "wo", serve.Params{"bytes": 4 << 20, "gpus": 2, "seed": seed}
-		case 1:
-			kind, params = "kmc", serve.Params{"points": 4 << 20, "gpus": 2, "seed": seed}
-		case 2:
-			kind, params = "sio", serve.Params{"elements": 8 << 20, "gpus": 4, "seed": seed, "chunkcap": 1 << 20}
-		default:
-			kind, params = "sio", serve.Params{"elements": 32 << 20, "gpus": 12, "seed": seed, "chunkcap": 1 << 20}
-		}
-		evs = append(evs, serve.Event{Arrive: &serve.Arrival{
-			Seq: i, At: at, Request: serve.Request{Tenant: onlineTenants[i%len(onlineTenants)], Kind: kind, Params: params},
-		}})
-	}
-	return evs
+	return arrivalEvents(o, 0x517cc1b7, OnlineJobs, gapMs, jobMix, onlineTenants)
 }
 
 // OnlineRow is one (load, policy) cell of the sweep.
@@ -129,12 +103,10 @@ func RenderOnline(w io.Writer, rows []OnlineRow) {
 		OnlineJobs, OnlineGPUs, OnlineMaxQueue, OnlineQuota)
 	fmt.Fprintf(w, "%8s %-15s %5s %5s %6s %7s %12s %12s %12s\n",
 		"gap", "policy", "admit", "shed", "quota", "rej%", "p50 lat", "p95 lat", "mean wait")
-	lastGap := -1.0
-	for _, r := range rows {
-		if r.GapMs != lastGap && lastGap >= 0 {
+	for i, r := range rows {
+		if i > 0 && r.GapMs != rows[i-1].GapMs {
 			fmt.Fprintln(w)
 		}
-		lastGap = r.GapMs
 		fmt.Fprintf(w, "%6.0fms %-15s %5d %5d %6d %6.1f%% %12v %12v %12v\n",
 			r.GapMs, r.Policy, r.Admitted, r.Shed, r.Quota, 100*r.Rejected, r.P50, r.P95, r.MeanWait)
 	}

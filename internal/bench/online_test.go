@@ -3,15 +3,20 @@ package bench
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func onlineOpts() Options { return Options{PhysBudget: 2048, Seed: 1} }
 
+// onlineRows is one run of the sweep at onlineOpts, shared by the tests
+// that only read it.
+var onlineRows = sync.OnceValues(func() ([]OnlineRow, error) { return Online(onlineOpts()) })
+
 // TestOnlineDeterminism: the sweep is a pure function of the options —
 // two runs produce identical rows (times, digests, counts).
 func TestOnlineDeterminism(t *testing.T) {
-	a, err := Online(onlineOpts())
+	a, err := onlineRows()
 	if err != nil {
 		t.Fatalf("Online: %v", err)
 	}
@@ -29,7 +34,7 @@ func TestOnlineDeterminism(t *testing.T) {
 // bites — every policy sheds under the tightest load, and no policy
 // rejects more when load is lightest than when it is heaviest.
 func TestOnlineScenario(t *testing.T) {
-	rows, err := Online(onlineOpts())
+	rows, err := onlineRows()
 	if err != nil {
 		t.Fatalf("Online: %v", err)
 	}
@@ -63,7 +68,7 @@ func TestOnlineScenario(t *testing.T) {
 
 // TestRenderOnline smoke-checks the table renderer.
 func TestRenderOnline(t *testing.T) {
-	rows, err := Online(onlineOpts())
+	rows, err := onlineRows()
 	if err != nil {
 		t.Fatalf("Online: %v", err)
 	}

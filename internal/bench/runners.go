@@ -12,15 +12,6 @@
 package bench
 
 import (
-	"fmt"
-
-	"repro/internal/apps/kmc"
-	"repro/internal/apps/lr"
-	"repro/internal/apps/mm"
-	"repro/internal/apps/sio"
-	"repro/internal/apps/wo"
-	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -77,82 +68,4 @@ func (o Options) replayCell(prefix string, h serve.Header, evs []serve.Event) (*
 	defer o.Obs.SetPrefix("")
 	return serve.Replay(&serve.Trace{Header: h, Events: evs},
 		serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards, Obs: o.Obs})
-}
-
-// Benchmarks lists the five apps in the paper's order.
-var Benchmarks = []string{"mm", "sio", "wo", "kmc", "lr"}
-
-// Run executes one GPMR benchmark at the given virtual size and GPU count,
-// returning the wall time and (for the two-job MM, the combined) trace.
-// Size units: MM matrix edge; WO corpus bytes; others element counts.
-func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Trace, error) {
-	o = o.withDefaults()
-	switch benchName {
-	case "mm":
-		b, err := mm.New(mm.Params{Dim: size, GPUs: gpus, Seed: o.Seed})
-		if err != nil {
-			return 0, nil, err
-		}
-		b.Job1.Config.Workers = o.Workers
-		b.Job1.Config.Obs = o.Obs
-		_, tr1, tr2, err := b.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		// Combine the two jobs into one trace for reporting.
-		tr := &core.Trace{Name: "mm", GPUs: gpus, Wall: tr1.Wall + tr2.Wall,
-			WireBytes: tr1.WireBytes + tr2.WireBytes, LocalBytes: tr1.LocalBytes + tr2.LocalBytes}
-		for i := range tr1.Ranks {
-			r := tr1.Ranks[i]
-			r.Add(tr2.Ranks[i])
-			tr.Ranks = append(tr.Ranks, r)
-		}
-		return tr.Wall, tr, nil
-	case "sio":
-		job, _ := sio.NewJob(sio.Params{Elements: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
-		job.Config.Workers = o.Workers
-		job.Config.Obs = o.Obs
-		res, err := job.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Trace.Wall, res.Trace, nil
-	case "wo":
-		b := wo.NewJob(wo.Params{Bytes: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget, DictSize: woDict(o)})
-		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Obs = o.Obs
-		res, err := b.Job.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Trace.Wall, res.Trace, nil
-	case "kmc":
-		b := kmc.NewJob(kmc.Params{Points: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
-		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Obs = o.Obs
-		res, err := b.Job.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Trace.Wall, res.Trace, nil
-	case "lr":
-		b := lr.NewJob(lr.Params{Points: size, GPUs: gpus, Seed: o.Seed, PhysMax: o.PhysBudget})
-		b.Job.Config.Workers = o.Workers
-		b.Job.Config.Obs = o.Obs
-		res, err := b.Job.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Trace.Wall, res.Trace, nil
-	}
-	return 0, nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-}
-
-// woDict keeps the MPH build fast for small physical budgets: the harness
-// uses a dictionary no larger than the materialized corpus could cover.
-func woDict(o Options) int {
-	if o.PhysBudget < 1<<20 {
-		return 4300 // 1/10th-scale dictionary for quick runs
-	}
-	return 0 // full 43,000 words
 }

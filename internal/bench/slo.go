@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/des"
 	"repro/internal/sched"
 	"repro/internal/serve"
-	"repro/internal/workload"
 )
 
 // The SLO experiment: the online sweep's open system, but with the
@@ -41,48 +39,25 @@ const (
 	sloStandardDeadline    = 60 * des.Millisecond
 )
 
-// sloStream builds the seeded three-class arrival stream for one load
-// point. A pure function of (options, gap), so both policy cells at a
-// given load see byte-identical arrivals.
-func sloStream(o Options, gapMs float64) []serve.Event {
-	rng := workload.NewRNG(o.Seed + 0x2545f491)
-	var evs []serve.Event
-	var at des.Time
-	for i := 0; i < SLOJobs; i++ {
-		u := rng.Float64()
-		at += des.FromSeconds(gapMs / 1e3 * -math.Log(1-u))
-		seed := int64(o.Seed) + int64(i)*1000
-		a := &serve.Arrival{Seq: i, At: at, Request: serve.Request{Tenant: onlineTenants[i%len(onlineTenants)]}}
-		switch rng.Intn(4) {
-		case 0:
-			// Interactive query: small, tight deadline, reject on a
-			// predicted miss (the user would rather know immediately).
-			a.Kind = "wo"
-			a.Params = serve.Params{"bytes": 4 << 20, "gpus": 2, "seed": seed}
-			a.MinGang = 2 // rigid: a latency query cannot mold down
-			a.Class, a.Deadline = "interactive", sloInteractiveDeadline
-		case 1:
-			// Standard analytics: moderate deadline, demoted to batch on a
-			// predicted miss rather than turned away.
-			a.Kind = "kmc"
-			a.Params = serve.Params{"points": 4 << 20, "gpus": 4, "seed": seed}
-			a.MinGang = 4
-			a.Class, a.Deadline, a.Downgrade = "standard", sloStandardDeadline, true
-		case 2:
-			// Batch scan: no deadline, molds down under load and opts into
-			// elastic grow-back.
-			a.Kind = "sio"
-			a.Params = serve.Params{"elements": 64 << 20, "gpus": 8, "seed": seed, "chunkcap": 1 << 20}
-			a.Class, a.Elastic = "batch", true
-		default:
-			// Large batch scan, likewise elastic.
-			a.Kind = "sio"
-			a.Params = serve.Params{"elements": 128 << 20, "gpus": 12, "seed": seed, "chunkcap": 1 << 20}
-			a.Class, a.Elastic = "batch", true
-		}
-		evs = append(evs, serve.Event{Arrive: a})
-	}
-	return evs
+// sloMix is the kind mix split into service classes, the batch scans
+// grown heavier so they are worth preempting.
+func sloMix() []serve.Request {
+	// Interactive query: small, tight deadline, reject on a predicted
+	// miss (the user would rather know immediately). Rigid: a latency
+	// query cannot mold down.
+	query := jobMix[0]
+	query.MinGang, query.Class, query.Deadline = 2, "interactive", sloInteractiveDeadline
+	// Standard analytics: moderate deadline, demoted to batch on a
+	// predicted miss rather than turned away.
+	analytics := withParams(jobMix[1], serve.Params{"gpus": 4})
+	analytics.MinGang, analytics.Class, analytics.Deadline, analytics.Downgrade = 4, "standard", sloStandardDeadline, true
+	// Batch scans: no deadline, mold down under load and opt into elastic
+	// grow-back.
+	scan := withParams(jobMix[2], serve.Params{"elements": 64 << 20, "gpus": 8})
+	scan.Class, scan.Elastic = "batch", true
+	large := withParams(jobMix[3], serve.Params{"elements": 128 << 20})
+	large.Class, large.Elastic = "batch", true
+	return []serve.Request{query, analytics, scan, large}
 }
 
 // sloConfigs are the cells compared at each load point: exclusive FIFO
@@ -90,17 +65,17 @@ func sloStream(o Options, gapMs float64) []serve.Event {
 // every job, so infeasible deadlines are rejected or downgraded at
 // arrival), plain weighted-fair, and weighted-fair with the SLO
 // scheduling upgrades.
-type sloConfig struct {
-	Name, Policy              string
-	Reserve, Preempt, Elastic bool
-}
-
 func sloConfigs() []sloConfig {
 	return []sloConfig{
-		{Name: "fifo-exclusive", Policy: "fifo-exclusive"},
-		{Name: "weighted-fair", Policy: "weighted-fair"},
-		{Name: "weighted-fair+slo", Policy: "weighted-fair", Reserve: true, Preempt: true, Elastic: true},
+		{"fifo-exclusive", serve.Header{Policy: "fifo-exclusive"}},
+		{"weighted-fair", serve.Header{Policy: "weighted-fair"}},
+		{"weighted-fair+slo", serve.Header{Policy: "weighted-fair", Reserve: true, Preempt: true, Elastic: true}},
 	}
+}
+
+type sloConfig struct {
+	name string
+	serve.Header
 }
 
 // SLORow is one (load, config) cell of the sweep.
@@ -129,23 +104,18 @@ func SLO(o Options) ([]SLORow, error) {
 	o = o.withDefaults()
 	var rows []SLORow
 	for _, gap := range sloGapsMs {
-		evs := sloStream(o, gap)
+		// Every cell at a load point replays the same arrivals.
+		evs := arrivalEvents(o, 0x2545f491, SLOJobs, gap, sloMix(), onlineTenants)
 		for _, cfg := range sloConfigs() {
-			rep, err := o.replayCell(fmt.Sprintf("%.0fms/%s/", gap, cfg.Name), serve.Header{
-				Policy:   cfg.Policy,
-				GPUs:     SLOGPUs,
-				MaxQueue: SLOMaxQueue,
-				Reserve:  cfg.Reserve,
-				Preempt:  cfg.Preempt,
-				Elastic:  cfg.Elastic,
-			}, evs)
+			cfg.GPUs, cfg.MaxQueue = SLOGPUs, SLOMaxQueue
+			rep, err := o.replayCell(fmt.Sprintf("%.0fms/%s/", gap, cfg.name), cfg.Header, evs)
 			if err != nil {
-				return nil, fmt.Errorf("slo: gap %.0fms config %s: %w", gap, cfg.Name, err)
+				return nil, fmt.Errorf("slo: gap %.0fms config %s: %w", gap, cfg.name, err)
 			}
 			s := rep.Stats
 			row := SLORow{
 				GapMs:    gap,
-				Config:   cfg.Name,
+				Config:   cfg.name,
 				Admitted: s.Admitted,
 				Shed:     s.RejectedShed,
 				SLORej:   s.RejectedSLO,
@@ -185,12 +155,10 @@ func RenderSLO(w io.Writer, rows []SLORow) {
 		sloInteractiveDeadline, sloStandardDeadline)
 	fmt.Fprintf(w, "%8s %-18s %5s %5s %4s %4s %5s %7s %7s %6s %12s\n",
 		"gap", "config", "admit", "shed", "rej", "down", "preem", "int met", "std met", "batch", "p95 int")
-	lastGap := -1.0
-	for _, r := range rows {
-		if r.GapMs != lastGap && lastGap >= 0 {
+	for i, r := range rows {
+		if i > 0 && r.GapMs != rows[i-1].GapMs {
 			fmt.Fprintln(w)
 		}
-		lastGap = r.GapMs
 		fmt.Fprintf(w, "%6.0fms %-18s %5d %5d %4d %4d %5d %3d/%-3d %3d/%-3d %6d %12v\n",
 			r.GapMs, r.Config, r.Admitted, r.Shed, r.SLORej, r.Downgraded, r.Preempts,
 			r.IntMet, r.IntJobs, r.StdMet, r.StdJobs, r.BatchDone, r.P95Int)

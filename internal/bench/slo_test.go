@@ -4,15 +4,20 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
 func sloOpts() Options { return Options{PhysBudget: 2048, Seed: 1} }
 
+// sloRows is one run of the sweep at sloOpts, shared by the tests that
+// only read it (a sweep is most of a second).
+var sloRows = sync.OnceValues(func() ([]SLORow, error) { return SLO(sloOpts()) })
+
 // TestSLODeterminism: the sweep is a pure function of the options — two
 // runs produce identical rows (attainment counts, latencies, rejects).
 func TestSLODeterminism(t *testing.T) {
-	a, err := SLO(sloOpts())
+	a, err := sloRows()
 	if err != nil {
 		t.Fatalf("SLO: %v", err)
 	}
@@ -34,20 +39,31 @@ func TestSLODeterminism(t *testing.T) {
 // sharded scheduler's modeled launch/done latencies legitimately shift
 // the schedule, but never differently for different shard counts.
 func TestSLOInvariance(t *testing.T) {
-	run := func(workers, shards int) []SLORow {
-		got, err := SLO(Options{PhysBudget: 2048, Seed: 1, Workers: workers, Shards: shards})
-		if err != nil {
-			t.Fatalf("SLO(workers=%d shards=%d): %v", workers, shards, err)
+	legacy, err := sloRows()
+	if err != nil {
+		t.Fatalf("SLO: %v", err)
+	}
+	// The sweeps are independent; run them side by side.
+	points := []struct{ workers, shards int }{{2, 0}, {0, 1}, {0, 2}, {4, 2}}
+	rows := make([][]SLORow, len(points))
+	t.Run("sweep", func(t *testing.T) {
+		for i, p := range points {
+			t.Run(fmt.Sprintf("workers=%d,shards=%d", p.workers, p.shards), func(t *testing.T) {
+				t.Parallel()
+				var err error
+				rows[i], err = SLO(Options{PhysBudget: 2048, Seed: 1, Workers: p.workers, Shards: p.shards})
+				if err != nil {
+					t.Fatalf("SLO: %v", err)
+				}
+			})
 		}
-		return got
+	})
+	if !reflect.DeepEqual(rows[0], legacy) {
+		t.Errorf("slo sweep depends on the kernel backend (workers=2, legacy engine):\n%v\nvs\n%v", rows[0], legacy)
 	}
-	legacy := run(0, 0)
-	if got := run(2, 0); !reflect.DeepEqual(got, legacy) {
-		t.Errorf("slo sweep depends on the kernel backend (workers=2, legacy engine):\n%v\nvs\n%v", got, legacy)
-	}
-	sharded := run(0, 1)
-	for _, p := range []struct{ workers, shards int }{{0, 2}, {4, 2}} {
-		if got := run(p.workers, p.shards); !reflect.DeepEqual(got, sharded) {
+	sharded := rows[1]
+	for i, p := range points[2:] {
+		if got := rows[2+i]; !reflect.DeepEqual(got, sharded) {
 			t.Errorf("slo sweep differs at workers=%d shards=%d from the one-shard set:\n%v\nvs\n%v",
 				p.workers, p.shards, got, sharded)
 		}
@@ -59,7 +75,7 @@ func TestSLOInvariance(t *testing.T) {
 // downgrades fire), preemption only runs in the +slo cell, and the SLO
 // cell never serves interactive jobs worse than plain weighted-fair.
 func TestSLOScenario(t *testing.T) {
-	rows, err := SLO(sloOpts())
+	rows, err := sloRows()
 	if err != nil {
 		t.Fatalf("SLO: %v", err)
 	}
@@ -98,7 +114,7 @@ func TestSLOScenario(t *testing.T) {
 
 // TestRenderSLO smoke-checks the table renderer.
 func TestRenderSLO(t *testing.T) {
-	rows, err := SLO(sloOpts())
+	rows, err := sloRows()
 	if err != nil {
 		t.Fatalf("SLO: %v", err)
 	}

@@ -5,9 +5,6 @@ import (
 	"io"
 
 	"repro/internal/des"
-	"repro/internal/gpu"
-	"repro/internal/mars"
-	"repro/internal/phoenix"
 )
 
 // Table1 renders the dataset-size matrix (Table 1).
@@ -31,137 +28,47 @@ type SpeedupRow struct {
 	GPMR4GPU  des.Time
 }
 
-// table2Inputs are the paper's Table-2 inputs: the second-biggest first-set
-// size for each app, except MM which uses the small set (Phoenix needed
-// ~20 s for 1024²).
-var table2Inputs = map[string]int64{
-	"mm": 1024, "kmc": 32 << 20, "lr": 64 << 20, "sio": 32 << 20, "wo": 64 << 20,
-}
-
-// table2Paper records the published Table 2 for side-by-side reporting.
-var table2Paper = map[string][2]float64{
-	"mm": {162.712, 559.209}, "kmc": {2.991, 11.726}, "lr": {1.296, 4.085},
-	"sio": {1.450, 2.322}, "wo": {11.080, 18.441},
+// speedups fills Table 2 or 3 from the app table's column for it: for each
+// app in the table, the baseline's wall time against GPMR's on one and on
+// four GPUs.
+func speedups(o Options, column func(app) versus) ([]SpeedupRow, error) {
+	o = o.withDefaults()
+	var rows []SpeedupRow
+	for _, name := range paperColumns {
+		a, _ := appNamed(name)
+		vs := column(a)
+		if vs.wall == nil {
+			continue
+		}
+		base, err := vs.wall(vs.size, o)
+		if err != nil {
+			return nil, err
+		}
+		g1, _, err := Run(name, vs.size, 1, o)
+		if err != nil {
+			return nil, err
+		}
+		g4, _, err := Run(name, vs.size, 4, o)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, SpeedupRow{
+			Bench: name, Paper1GPU: vs.paper[0], Paper4GPU: vs.paper[1],
+			Speedup1: float64(base) / float64(g1), Speedup4: float64(base) / float64(g4),
+			Baseline: base, GPMR1GPU: g1, GPMR4GPU: g4,
+		})
+	}
+	return rows, nil
 }
 
 // Table2 regenerates the GPMR-vs-Phoenix speedups.
 func Table2(o Options) ([]SpeedupRow, error) {
-	o = o.withDefaults()
-	var rows []SpeedupRow
-	for _, b := range []string{"mm", "kmc", "lr", "sio", "wo"} {
-		size := table2Inputs[b]
-		var base des.Time
-		switch b {
-		case "mm":
-			app, _, _, _ := phoenix.MM(size, 32, o.Seed)
-			res, err := phoenix.Run(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "kmc":
-			app, _, _ := phoenix.KMC(size, o.PhysBudget, 32, 4, o.Seed)
-			res, err := phoenix.Run(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "lr":
-			app, _ := phoenix.LR(size, o.PhysBudget, o.Seed, 2, 3, 0.5)
-			res, err := phoenix.Run(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "sio":
-			app, _ := phoenix.SIO(size, o.PhysBudget, o.Seed)
-			res, err := phoenix.Run(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "wo":
-			app, _, _ := phoenix.WO(size, o.PhysBudget, woDict(o), o.Seed)
-			res, err := phoenix.Run(app, 0)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		}
-		g1, _, err := Run(b, size, 1, o)
-		if err != nil {
-			return nil, err
-		}
-		g4, _, err := Run(b, size, 4, o)
-		if err != nil {
-			return nil, err
-		}
-		p := table2Paper[b]
-		rows = append(rows, SpeedupRow{
-			Bench: b, Paper1GPU: p[0], Paper4GPU: p[1],
-			Speedup1: float64(base) / float64(g1), Speedup4: float64(base) / float64(g4),
-			Baseline: base, GPMR1GPU: g1, GPMR4GPU: g4,
-		})
-	}
-	return rows, nil
-}
-
-// table3Inputs: 4096² MM, 8M-point KMC, 512 MB WO — the largest problems
-// meeting Mars's in-core requirements (Mars sees the full 4 GB parts).
-var table3Inputs = map[string]int64{"mm": 4096, "kmc": 8 << 20, "wo": 512 << 20}
-
-var table3Paper = map[string][2]float64{
-	"mm": {2.695, 10.760}, "kmc": {37.344, 129.425}, "wo": {3.098, 11.709},
+	return speedups(o, func(a app) versus { return a.phoenix })
 }
 
 // Table3 regenerates the GPMR-vs-Mars speedups.
 func Table3(o Options) ([]SpeedupRow, error) {
-	o = o.withDefaults()
-	pr := gpu.GT200()
-	pr.MemBytes = 4 << 30 // Mars uses the S1070's full memory
-	var rows []SpeedupRow
-	for _, b := range []string{"mm", "kmc", "wo"} {
-		size := table3Inputs[b]
-		var base des.Time
-		switch b {
-		case "mm":
-			app, _, _, _ := mars.MM(size, 32, o.Seed)
-			res, err := mars.Run(app, pr)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "kmc":
-			app, _, _, _ := mars.KMC(size, o.PhysBudget, 32, 4, o.Seed)
-			res, err := mars.Run(app, pr)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		case "wo":
-			app, _, _ := mars.WO(size, o.PhysBudget, woDict(o), o.Seed)
-			res, err := mars.Run(app, pr)
-			if err != nil {
-				return nil, err
-			}
-			base = res.Wall
-		}
-		g1, _, err := Run(b, size, 1, o)
-		if err != nil {
-			return nil, err
-		}
-		g4, _, err := Run(b, size, 4, o)
-		if err != nil {
-			return nil, err
-		}
-		p := table3Paper[b]
-		rows = append(rows, SpeedupRow{
-			Bench: b, Paper1GPU: p[0], Paper4GPU: p[1],
-			Speedup1: float64(base) / float64(g1), Speedup4: float64(base) / float64(g4),
-			Baseline: base, GPMR1GPU: g1, GPMR4GPU: g4,
-		})
-	}
-	return rows, nil
+	return speedups(o, func(a app) versus { return a.mars })
 }
 
 // RenderSpeedups writes a Table 2/3-style comparison with the paper's
@@ -183,24 +90,18 @@ type WeakPoint struct {
 	Efficiency float64 // t(1) / t(n) with per-GPU work fixed
 }
 
-// weakPerGPU holds per-GPU workload sizes from Table 1's second sets
-// (a mid-range pick per benchmark).
-var weakPerGPU = map[string]int64{
-	"sio": 4 << 20, "wo": 32 << 20, "kmc": 4 << 20, "lr": 8 << 20,
-}
-
 // Weak runs the weak-scaling experiment the paper describes (second
 // dataset sets: elements per GPU held constant).
 func Weak(benchName string, o Options) ([]WeakPoint, error) {
 	o = o.withDefaults()
-	per, ok := weakPerGPU[benchName]
-	if !ok {
+	a, _ := appNamed(benchName)
+	if a.weak == 0 {
 		return nil, fmt.Errorf("bench: no weak-scaling set for %q", benchName)
 	}
 	var pts []WeakPoint
 	var base des.Time
 	for _, g := range o.GPUCounts {
-		total := per * int64(g)
+		total := a.weak * int64(g)
 		wall, _, err := Run(benchName, total, g, o)
 		if err != nil {
 			return nil, err
@@ -215,7 +116,8 @@ func Weak(benchName string, o Options) ([]WeakPoint, error) {
 
 // RenderWeak writes the weak-scaling table.
 func RenderWeak(w io.Writer, benchName string, pts []WeakPoint) {
-	fmt.Fprintf(w, "Weak scaling — %s (%d per-GPU elements/bytes)\n", benchName, weakPerGPU[benchName])
+	a, _ := appNamed(benchName)
+	fmt.Fprintf(w, "Weak scaling — %s (%d per-GPU elements/bytes)\n", benchName, a.weak)
 	fmt.Fprintf(w, "%6s %14s %14s %12s\n", "GPUs", "total", "wall", "efficiency")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%6d %14d %14v %12.3f\n", p.GPUs, p.Total, p.Wall, p.Efficiency)

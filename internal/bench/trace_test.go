@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -11,63 +10,12 @@ import (
 
 // The flight recorder's contract, proven end to end: recording must not
 // perturb the simulation (every rendered report is byte-identical with
-// and without it), and the canonical trace itself must be byte-identical
-// across engine shard counts and kernel-execution backends.
+// and without it — TestRecordingReachesEveryExperiment walks the registry
+// for that), and the canonical trace itself must be byte-identical across
+// engine shard counts and kernel-execution backends.
 
 // traceOpts keeps the recording runs cheap enough for CI.
 func traceOpts() Options { return Options{PhysBudget: 2048, Seed: 1} }
-
-// renderMultijob runs the multi-tenant experiment and renders its report.
-func renderMultijob(t *testing.T, o Options) string {
-	t.Helper()
-	rows, traces, err := Multijob(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	RenderMultijob(&sb, rows, traces)
-	return sb.String()
-}
-
-func TestTracingDoesNotPerturbMultijob(t *testing.T) {
-	// Both the legacy single engine and a sharded run must render the
-	// exact same report whether or not a recorder is attached.
-	for _, shards := range []int{0, 2} {
-		o := traceOpts()
-		o.Shards = shards
-		base := renderMultijob(t, o)
-		o.Obs = obs.New()
-		traced := renderMultijob(t, o)
-		if traced != base {
-			t.Errorf("shards=%d: report with tracing differs from report without", shards)
-		}
-		if o.Obs.Len() == 0 {
-			t.Errorf("shards=%d: recorder attached but captured no events", shards)
-		}
-	}
-}
-
-func TestTracingDoesNotPerturbOnline(t *testing.T) {
-	o := traceOpts()
-	base, err := Online(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Obs = obs.New()
-	traced, err := Online(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b1, b2 strings.Builder
-	RenderOnline(&b1, base)
-	RenderOnline(&b2, traced)
-	if b1.String() != b2.String() {
-		t.Error("online sweep with tracing differs from sweep without")
-	}
-	if o.Obs.Len() == 0 {
-		t.Error("recorder attached but captured no events")
-	}
-}
 
 func TestTracingDoesNotPerturbRunTrace(t *testing.T) {
 	o := traceOpts()

@@ -78,32 +78,6 @@ func DeviceScan(p *des.Proc, d *gpu.Device, virtN int64, fn func()) des.Time {
 	return d.Launch(p, scanSpec("cudpp.scan", virtN, 4), fn)
 }
 
-// DeviceReduce charges the device for a tree reduction of virtN elements.
-func DeviceReduce(p *des.Proc, d *gpu.Device, virtN int64, elemBytes int64, fn func()) des.Time {
-	spec := gpu.KernelSpec{
-		Name:           "cudpp.reduce",
-		Threads:        virtN,
-		FlopsPerThread: 1,
-		BytesRead:      float64(virtN * elemBytes),
-		BytesWritten:   64, // one partial per block; negligible
-	}
-	return d.Launch(p, spec, fn)
-}
-
-// DeviceCompact charges the device for a flag-scan-scatter compaction of
-// virtN elements of elemBytes each.
-func DeviceCompact(p *des.Proc, d *gpu.Device, virtN, elemBytes int64, fn func()) des.Time {
-	t := DeviceScan(p, d, virtN, nil)
-	spec := gpu.KernelSpec{
-		Name:             "cudpp.compact.scatter",
-		Threads:          virtN,
-		FlopsPerThread:   1,
-		BytesRead:        float64(virtN * elemBytes),
-		UncoalescedBytes: float64(virtN*elemBytes) / 4, // scatter locality
-	}
-	return t + d.Launch(p, spec, fn)
-}
-
 const (
 	radixDigitBits = 4 // CUDPP's digit width on GT200
 	radixPasses    = 32 / radixDigitBits

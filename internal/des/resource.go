@@ -37,9 +37,6 @@ func (r *Resource) Name() string { return r.name }
 // Cap returns the resource's capacity.
 func (r *Resource) Cap() int { return r.cap }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.held }
-
 func (r *Resource) accountTo(now Time) {
 	r.busy += Time(r.held) * (now - r.lastTs)
 	r.lastTs = now
@@ -180,9 +177,6 @@ type Signal struct {
 
 // NewSignal creates an unfired signal.
 func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
-
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire wakes all current waiters; later Waits return immediately.
 func (s *Signal) Fire() {

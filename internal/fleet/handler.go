@@ -106,7 +106,8 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.Code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
+		// Forward the shedding shard's own drain prediction (floor 1 s).
+		w.Header().Set("Retry-After", strconv.Itoa(max(st.Shard.RetryAfter, 1)))
 	}
 	h.writeJSON(w, st.Code, st.Job)
 }

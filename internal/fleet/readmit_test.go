@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,6 +30,7 @@ type stubShard struct {
 	mu     sync.Mutex
 	posts  []serve.Request // decoded submissions, in arrival order
 	refuse bool
+	retry  int             // the drain prediction a refusal carries (JobInfo.RetryAfter)
 	jobs   []serve.JobInfo // the GET /jobs answer
 }
 
@@ -47,7 +49,7 @@ func newStubShard(t *testing.T) *stubShard {
 		s.posts = append(s.posts, req)
 		if s.refuse {
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(serve.JobInfo{Tag: req.Tag, Status: "rejected", Reason: "quota: tenant at its cap"})
+			json.NewEncoder(w).Encode(serve.JobInfo{Tag: req.Tag, Status: "rejected", Reason: "quota: tenant at its cap", RetryAfter: s.retry})
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -250,5 +252,27 @@ func TestRecoverAdoptsSLOFields(t *testing.T) {
 	}
 	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Job.Tag != "f10" {
 		t.Fatalf("fresh tag %q collides with the adopted range, want f10", st.Job.Tag)
+	}
+}
+
+// TestFrontDoorForwardsRetryAfter: when the owning shard sheds a
+// submission, the front door's 429 carries that shard's cost-model drain
+// prediction, not a constant. (It used to answer every 429 with
+// "Retry-After: 1", discarding what postJob had already decoded.)
+func TestFrontDoorForwardsRetryAfter(t *testing.T) {
+	stub := newStubShard(t)
+	stub.refuse, stub.retry = true, 37
+	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: stub.hs.URL}}, RetryBackoff: time.Millisecond, Logf: quiet})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	body, _ := json.Marshal(sloRequest(1))
+	rec := httptest.NewRecorder()
+	NewHandler(rt, HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "37" {
+		t.Errorf("Retry-After %q, want the shard's prediction 37", got)
 	}
 }

@@ -281,6 +281,3 @@ func (d *Device) CopyToDevice(p *des.Proc, virtBytes int64, fn func()) des.Time 
 func (d *Device) CopyToHost(p *des.Proc, virtBytes int64, fn func()) des.Time {
 	return d.transfer(p, "d2h", virtBytes, fn)
 }
-
-// ComputeBusy returns the compute engine's busy-time integral.
-func (d *Device) ComputeBusy() des.Time { return d.compute.BusyIntegral() }

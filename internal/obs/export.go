@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -79,6 +80,39 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 // accepts — e.g. one job's timelines for a per-job HTTP endpoint.
 func (r *Recorder) WriteChromeFiltered(w io.Writer, keep func(stream string) bool) error {
 	return WriteChrome(w, r.Canonical(), keep)
+}
+
+// Finish is the epilogue of a recording command-line run (gpmrbench,
+// gpmrsim). It prints to w the phase breakdown of every recorded job
+// explain selects — a job name, bare or prefixed, or "all"; "" selects
+// none — and then, when tracePath is set, writes the recording there as
+// Chrome trace-event JSON and notes the event count on stderr under the
+// program's name.
+func (r *Recorder) Finish(w io.Writer, prog, explain, tracePath string) error {
+	if explain != "" {
+		evs := r.Canonical()
+		for _, k := range Jobs(evs) {
+			if explain == "all" || explain == k.String() || explain == k.Name {
+				fmt.Fprint(w, Explain(evs, k).String())
+			}
+		}
+	}
+	if tracePath == "" {
+		return nil
+	}
+	f, err := os.Create(tracePath)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteChrome(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s: flight recording (%d events) written to %s\n", prog, r.Len(), tracePath)
+	return nil
 }
 
 // usec renders a nanosecond time as trace-event microseconds with fixed

@@ -83,10 +83,10 @@ func checkIncremental(t *testing.T, s *Scheduler, when string, requeuing int) {
 	var running []*jobRec
 	for _, r := range s.recs {
 		if r.waiting && r.running {
-			t.Errorf("%s: job %d both waiting and running", when, r.id)
+			t.Errorf("%s: job %d both waiting and running", when, r.ID)
 		}
 		if r.waiting || r.running {
-			demand += r.weight
+			demand += r.Weight
 		}
 		if r.waiting {
 			waiting++
@@ -107,7 +107,7 @@ func checkIncremental(t *testing.T, s *Scheduler, when string, requeuing int) {
 	for i, r := range running {
 		if i < len(s.running) && s.running[i] != r {
 			t.Errorf("%s: running set slot %d holds job %d, recomputed job %d (must ascend by ID)",
-				when, i, s.running[i].id, r.id)
+				when, i, s.running[i].ID, r.ID)
 		}
 	}
 	nodeFree, nFree := make([]int, len(s.cl.Nodes)), 0
@@ -208,7 +208,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 					if r.rejected {
 						rejected++
 					}
-					if r.downgraded {
+					if r.Downgraded {
 						downgraded++
 					}
 					if r.floorGang > 0 {

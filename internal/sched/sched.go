@@ -47,24 +47,17 @@ type JobSpec struct {
 // jobRec tracks one submission through the scheduler: the JobSpec's
 // fields with their defaults applied, then what admission did with it.
 type jobRec struct {
+	// JobTrace is the part of the record Scheduler.Trace reports as is:
+	// identity, request, gang, SLO outcome and the three timestamps.
+	// Granted stays zero here; Trace fills it from the gang.
+	JobTrace
 	job     core.Runnable
-	name    string // job.RunName(), asked once
-	id      int
-	want    int
-	weight  int
 	minGang int
 
-	class     Class
-	deadline  des.Time
 	downgrade bool // JobSpec.DowngradeOnMiss
 	elastic   bool // JobSpec.Elastic
 
-	arrival   des.Time
-	admit     des.Time
-	finish    des.Time
-	gang      []int
 	leased    []int // gang plus surplus ranks held idle (sharded whole-node leases)
-	trace     *core.Trace
 	waiting   bool  // in the queue; written by setState only
 	running   bool  // holding a gang; written by setState only
 	cancelled bool  // pulled from the queue before admission, or preempt-cancelled
@@ -81,8 +74,6 @@ type jobRec struct {
 	qCancel     bool
 	growPending bool
 	floorGang   int
-	preempts    int
-	downgraded  bool
 }
 
 // Scheduler is the incremental admission engine: jobs are submitted to a
@@ -265,11 +256,11 @@ func validateSpecs(specs []JobSpec, totalRanks int) error {
 // until arrive runs (Run registers whole batches up front so job IDs follow
 // submission order even when arrivals are out of order).
 func (s *Scheduler) register(sp JobSpec) *jobRec {
-	rec := &jobRec{job: sp.Job, name: sp.Job.RunName(), id: len(s.recs), want: sp.Job.GangWant(),
-		weight: sp.Weight, minGang: sp.MinGang, arrival: sp.At,
-		class: sp.Class, deadline: sp.Deadline, downgrade: sp.DowngradeOnMiss, elastic: sp.Elastic}
-	if rec.weight == 0 {
-		rec.weight = 1
+	rec := &jobRec{job: sp.Job, minGang: sp.MinGang, downgrade: sp.DowngradeOnMiss, elastic: sp.Elastic,
+		JobTrace: JobTrace{ID: len(s.recs), Name: sp.Job.RunName(), Want: sp.Job.GangWant(),
+			Weight: sp.Weight, Arrival: sp.At, Class: sp.Class, Deadline: sp.Deadline}}
+	if rec.Weight == 0 {
+		rec.Weight = 1
 	}
 	if rec.minGang == 0 {
 		rec.minGang = 1
@@ -285,12 +276,12 @@ func (s *Scheduler) register(sp JobSpec) *jobRec {
 func (s *Scheduler) setState(rec *jobRec, waiting, running bool) {
 	switch was, is := rec.waiting || rec.running, waiting || running; {
 	case is && !was:
-		s.demand += rec.weight
+		s.demand += rec.Weight
 	case was && !is:
-		s.demand -= rec.weight
+		s.demand -= rec.Weight
 	}
 	if running != rec.running {
-		i, _ := slices.BinarySearchFunc(s.running, rec.id, func(r *jobRec, id int) int { return r.id - id })
+		i, _ := slices.BinarySearchFunc(s.running, rec.ID, func(r *jobRec, id int) int { return r.ID - id })
 		if running {
 			s.running = slices.Insert(s.running, i, rec)
 		} else {
@@ -315,19 +306,19 @@ func (s *Scheduler) setFree(r int, free bool) {
 // simulated time, running the SLO admission check first when the job
 // carries a deadline.
 func (s *Scheduler) arrive(rec *jobRec) {
-	rec.arrival = s.eng.Now()
-	if rec.deadline > 0 {
-		if lat, ok := s.predictLatency(rec); ok && lat > rec.deadline {
+	rec.Arrival = s.eng.Now()
+	if rec.Deadline > 0 {
+		if lat, ok := s.predictLatency(rec); ok && lat > rec.Deadline {
 			if !rec.downgrade {
 				rec.rejected = true
 				if r := s.cl.Obs; r.Enabled() {
-					r.Emit(int64(rec.arrival), obs.CatSim, "sched/"+rec.name, "slo.reject",
-						obs.A("class", rec.class.String()))
+					r.Emit(int64(rec.Arrival), obs.CatSim, "sched/"+rec.Name, "slo.reject",
+						obs.A("class", rec.Class.String()))
 				}
 				return
 			}
-			rec.downgraded = true
-			rec.class = Batch
+			rec.Downgraded = true
+			rec.Class = Batch
 		}
 	}
 	s.setState(rec, true, false)
@@ -340,7 +331,7 @@ func (s *Scheduler) arrive(rec *jobRec) {
 // keeps exact arrival order and the pre-class queue behaviour).
 func (s *Scheduler) enqueue(rec *jobRec) {
 	i := len(s.queue)
-	for i > 0 && s.queue[i-1].class < rec.class {
+	for i > 0 && s.queue[i-1].Class < rec.Class {
 		i--
 	}
 	s.queue = append(s.queue, nil)
@@ -358,7 +349,7 @@ func (s *Scheduler) Register(sp JobSpec) (int, error) {
 	if err := validateSpec(sp, s.cl.Ranks()); err != nil {
 		return 0, err
 	}
-	return s.register(sp).id, nil
+	return s.register(sp).ID, nil
 }
 
 // Arrive enters a registered job into the admission queue at the current
@@ -366,7 +357,7 @@ func (s *Scheduler) Register(sp JobSpec) (int, error) {
 // registered ID.
 func (s *Scheduler) Arrive(id int) {
 	rec := s.recs[id]
-	if rec.waiting || rec.running || rec.cancelled || rec.rejected || rec.trace != nil || rec.err != nil {
+	if rec.waiting || rec.running || rec.cancelled || rec.rejected || rec.Trace != nil || rec.err != nil {
 		panic(fmt.Sprintf("sched: Arrive(%d) on a job that already arrived", id))
 	}
 	s.arrive(rec)
@@ -405,7 +396,7 @@ func (s *Scheduler) Cancel(id int) bool {
 	s.setState(rec, false, false)
 	rec.cancelled = true
 	if r := s.cl.Obs; r.Enabled() {
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, "cancel")
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.Name, "cancel")
 	}
 	return true
 }
@@ -431,22 +422,8 @@ func (s *Scheduler) Trace(makespan des.Time) *ClusterTrace {
 		if rec.cancelled {
 			continue
 		}
-		jt := JobTrace{
-			ID:         rec.id,
-			Name:       rec.name,
-			Want:       rec.want,
-			Granted:    len(rec.gang),
-			Weight:     rec.weight,
-			Gang:       rec.gang,
-			Class:      rec.class,
-			Deadline:   rec.deadline,
-			Downgraded: rec.downgraded,
-			Preempts:   rec.preempts,
-			Arrival:    rec.arrival,
-			Admit:      rec.admit,
-			Finish:     rec.finish,
-			Trace:      rec.trace,
-		}
+		jt := rec.JobTrace
+		jt.Granted = len(rec.Gang)
 		if rec.rejected {
 			ct.Rejected = append(ct.Rejected, jt)
 			continue
@@ -476,10 +453,10 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 	// (des/doc.go, "Boundary ordering"), landing where a live injection or
 	// a replayed record stamped with the same time does.
 	arrivals := append([]*jobRec(nil), s.recs...)
-	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].arrival < arrivals[j].arrival })
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Arrival < arrivals[j].Arrival })
 	s.eng.Spawn("sched.arrivals", func(p *des.Proc) {
 		for _, rec := range arrivals {
-			p.SleepLate(rec.arrival - p.Now())
+			p.SleepLate(rec.Arrival - p.Now())
 			s.arrive(rec)
 		}
 	})
@@ -556,9 +533,9 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 		if len(s.running) > 0 {
 			return 0, false
 		}
-		return rec.want, true
+		return rec.Want, true
 	case FixedShare:
-		size := rec.want
+		size := rec.Want
 		if size > s.pol.Share {
 			size = s.pol.Share
 		}
@@ -572,8 +549,8 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 			// gang it gave up, or the checkpoint was wasted motion.
 			floor = rec.floorGang
 		}
-		if floor > rec.want {
-			floor = rec.want
+		if floor > rec.Want {
+			floor = rec.Want
 		}
 		if size < floor {
 			size = floor
@@ -588,8 +565,8 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 		// wait, never below the job's floor.
 		if s.nFree >= floor {
 			size = s.nFree
-			if size > rec.want {
-				size = rec.want
+			if size > rec.Want {
+				size = rec.Want
 			}
 			return size, true
 		}
@@ -602,9 +579,9 @@ func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
 // in the system (running or waiting, rec among them), capped at its
 // request.
 func (s *Scheduler) fairShare(rec *jobRec) int {
-	size := s.cl.Ranks() * rec.weight / s.demand
-	if size > rec.want {
-		size = rec.want
+	size := s.cl.Ranks() * rec.Weight / s.demand
+	if size > rec.Want {
+		size = rec.Want
 	}
 	return size
 }
@@ -614,35 +591,35 @@ func (s *Scheduler) fairShare(rec *jobRec) int {
 // jump jobs still waiting ahead of it.
 func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 	if s.ss != nil {
-		rec.gang, rec.leased = s.placeNodes(size)
+		rec.Gang, rec.leased = s.placeNodes(size)
 	} else {
-		rec.gang = s.place(size)
-		rec.leased = rec.gang
+		rec.Gang = s.place(size)
+		rec.leased = rec.Gang
 	}
-	rec.admit = s.eng.Now()
+	rec.Admit = s.eng.Now()
 	s.setState(rec, false, true)
 	if r := s.cl.Obs; r.Enabled() {
-		stream := "sched/" + rec.name
-		if rec.class != Batch || rec.deadline > 0 {
+		stream := "sched/" + rec.Name
+		if rec.Class != Batch || rec.Deadline > 0 {
 			// Class tag only when the submission used SLO features, so
 			// pre-class recordings stay byte-identical.
-			r.Span(int64(rec.arrival), int64(rec.admit), obs.CatSim, stream, "queue.wait",
-				obs.A("class", rec.class.String()))
+			r.Span(int64(rec.Arrival), int64(rec.Admit), obs.CatSim, stream, "queue.wait",
+				obs.A("class", rec.Class.String()))
 		} else {
-			r.Span(int64(rec.arrival), int64(rec.admit), obs.CatSim, stream, "queue.wait")
+			r.Span(int64(rec.Arrival), int64(rec.Admit), obs.CatSim, stream, "queue.wait")
 		}
-		r.Emit(int64(rec.admit), obs.CatSim, stream, "place",
-			obs.Int("gang", int64(len(rec.gang))), obs.Int("want", int64(rec.want)),
+		r.Emit(int64(rec.Admit), obs.CatSim, stream, "place",
+			obs.Int("gang", int64(len(rec.Gang))), obs.Int("want", int64(rec.Want)),
 			obs.Bool("backfill", backfill))
 	}
 	if s.OnStart != nil {
-		s.OnStart(rec.id, rec.gang)
+		s.OnStart(rec.ID, rec.Gang)
 	}
 	if s.ss != nil {
 		s.dispatch(rec)
 		return
 	}
-	err := rec.job.LaunchOn(s.eng, s.cl, rec.gang, func(tr *core.Trace) {
+	err := rec.job.LaunchOn(s.eng, s.cl, rec.Gang, func(tr *core.Trace) {
 		s.finish(rec, tr)
 		s.admit()
 	})
@@ -654,7 +631,7 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 		// mode one tenant's bad job must not take the service down: the
 		// failure is scoped to the job (rec.err, OnDone) and the batch-run
 		// abort stays the Run wrapper's business via launchE.
-		rec.err = fmt.Errorf("sched: launching job %q: %w", rec.name, err)
+		rec.err = fmt.Errorf("sched: launching job %q: %w", rec.Name, err)
 		if s.launchE == nil {
 			s.launchE = rec.err
 		}
@@ -670,10 +647,10 @@ func (s *Scheduler) start(rec *jobRec, size int, backfill bool) {
 // state stays hub-confined: the home shard only launches the job and posts
 // results back.
 func (s *Scheduler) dispatch(rec *jobRec) {
-	name := rec.name
-	home := s.homeOf(rec.gang)
-	key := s.cl.NodeOfRank(rec.gang[0]).ID
-	gang := rec.gang
+	name := rec.Name
+	home := s.homeOf(rec.Gang)
+	key := s.cl.NodeOfRank(rec.Gang[0]).ID
+	gang := rec.Gang
 	s.ss.Post(s.eng, home, hubKey, s.launchLat, name+".launch", func(p *des.Proc) {
 		homeEng := p.Engine()
 		err := rec.job.LaunchOn(homeEng, s.cl, gang, func(tr *core.Trace) {
@@ -709,11 +686,11 @@ func (s *Scheduler) finish(rec *jobRec, tr *core.Trace) {
 		return
 	}
 	rec.quiescing, rec.qCancel, rec.growPending = false, false, false
-	rec.finish = s.eng.Now()
-	rec.trace = tr
+	rec.Finish = s.eng.Now()
+	rec.Trace = tr
 	s.setState(rec, false, false)
 	if s.OnDone != nil {
-		s.OnDone(rec.id, tr, rec.err)
+		s.OnDone(rec.ID, tr, rec.err)
 	}
 	s.releaseRanks(rec)
 }

@@ -45,10 +45,10 @@ func (s *Scheduler) estimate(rec *jobRec, gang int) (des.Time, bool) {
 // nominalSize is the gang a job is priced at for admission prediction:
 // the size it would receive on an otherwise idle cluster.
 func (s *Scheduler) nominalSize(rec *jobRec) int {
-	if s.pol.Kind == FixedShare && rec.want > s.pol.Share {
+	if s.pol.Kind == FixedShare && rec.Want > s.pol.Share {
 		return s.pol.Share
 	}
-	return rec.want
+	return rec.Want
 }
 
 // needFor is the idle-rank count rec needs before it can start: the
@@ -59,24 +59,24 @@ func (s *Scheduler) needFor(rec *jobRec) int {
 	case FIFOExclusive:
 		return s.cl.Ranks()
 	case FixedShare:
-		if rec.want > s.pol.Share {
+		if rec.Want > s.pol.Share {
 			return s.pol.Share
 		}
-		return rec.want
+		return rec.Want
 	case WeightedFair:
 		floor := rec.minGang
 		if rec.floorGang > floor {
 			floor = rec.floorGang
 		}
-		if floor > rec.want {
-			floor = rec.want
+		if floor > rec.Want {
+			floor = rec.Want
 		}
 		if floor < 1 {
 			floor = 1
 		}
 		return floor
 	}
-	return rec.want
+	return rec.Want
 }
 
 // reserveStart predicts when `need` ranks will be idle, by walking the
@@ -97,11 +97,11 @@ func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 	}
 	var ends []release
 	for _, r := range s.running {
-		est, ok := s.estimate(r, len(r.gang))
+		est, ok := s.estimate(r, len(r.Gang))
 		if !ok {
 			return 0, false
 		}
-		at := r.admit + est
+		at := r.Admit + est
 		if at < now {
 			// Overdue estimate: the job could finish at any moment, so the
 			// reservation is "now" — conservative for backfill, which then
@@ -145,7 +145,7 @@ func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
 		wait = at - s.eng.Now()
 		ranks := des.Time(s.cl.Ranks())
 		for _, q := range s.queue {
-			if q.class < rec.class {
+			if q.Class < rec.Class {
 				continue
 			}
 			qe, ok := s.estimate(q, s.nominalSize(q))
@@ -181,7 +181,7 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 	}
 	var cands []*jobRec
 	for _, r := range s.running {
-		if r.quiescing || r.class >= head.class {
+		if r.quiescing || r.Class >= head.Class {
 			continue
 		}
 		if _, ok := r.job.(core.Preemptible); !ok {
@@ -191,13 +191,13 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		if a.class != b.class {
-			return a.class < b.class
+		if a.Class != b.Class {
+			return a.Class < b.Class
 		}
-		if a.admit != b.admit {
-			return a.admit > b.admit
+		if a.Admit != b.Admit {
+			return a.Admit > b.Admit
 		}
-		return a.id > b.id
+		return a.ID > b.ID
 	})
 	var victims []*jobRec
 	for _, v := range cands {
@@ -235,8 +235,8 @@ func (s *Scheduler) growBack() {
 		if _, ok := r.job.(core.Preemptible); !ok {
 			continue
 		}
-		cur := len(r.gang)
-		if cur >= r.want {
+		cur := len(r.Gang)
+		if cur >= r.Want {
 			continue
 		}
 		target := s.fairShare(r)
@@ -273,11 +273,11 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 		case rec.growPending:
 			why = "grow"
 		}
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, "preempt", obs.A("why", why))
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.Name, "preempt", obs.A("why", why))
 	}
 	if s.ss != nil {
-		home := s.homeOf(rec.gang)
-		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.name+".preempt", func(q *des.Proc) {
+		home := s.homeOf(rec.Gang)
+		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.Name+".preempt", func(q *des.Proc) {
 			p.PreemptLaunch()
 		})
 	} else {
@@ -293,32 +293,32 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 // kept, so waiting-time stats charge the preemption honestly) or is
 // torn down (PreemptCancel).
 func (s *Scheduler) requeue(rec *jobRec) {
-	cancel, grow, oldSize := rec.qCancel, rec.growPending, len(rec.gang)
+	cancel, grow, oldSize := rec.qCancel, rec.growPending, len(rec.Gang)
 	rec.quiescing, rec.qCancel, rec.growPending = false, false, false
 	s.setState(rec, !cancel, false)
 	s.releaseRanks(rec)
-	rec.gang, rec.leased = nil, nil
+	rec.Gang, rec.leased = nil, nil
 	if r := s.cl.Obs; r.Enabled() {
 		kind := "requeue"
 		if cancel {
 			kind = "preempt.cancel"
 		}
-		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.name, kind)
+		r.Emit(int64(s.eng.Now()), obs.CatSim, "sched/"+rec.Name, kind)
 	}
 	if cancel {
 		rec.cancelled = true
-		rec.finish = s.eng.Now()
+		rec.Finish = s.eng.Now()
 		if s.OnRequeue != nil {
-			s.OnRequeue(rec.id, true)
+			s.OnRequeue(rec.ID, true)
 		}
 		return
 	}
 	if grow {
 		rec.floorGang = oldSize + 1
 	}
-	rec.preempts++
+	rec.Preempts++
 	if s.OnRequeue != nil {
-		s.OnRequeue(rec.id, false)
+		s.OnRequeue(rec.ID, false)
 	}
 	s.enqueue(rec)
 }
@@ -350,7 +350,7 @@ func (s *Scheduler) Rejected(id int) bool {
 // Downgraded reports whether the SLO admission check demoted the job to
 // Batch (JobSpec.DowngradeOnMiss) instead of rejecting it.
 func (s *Scheduler) Downgraded(id int) bool {
-	return id >= 0 && id < len(s.recs) && s.recs[id].downgraded
+	return id >= 0 && id < len(s.recs) && s.recs[id].Downgraded
 }
 
 // QueuedCost sums the cost-model estimates of every queued job at its

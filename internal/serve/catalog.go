@@ -45,8 +45,6 @@ func (p Params) ranged(key string, def, lo, hi int64) (int64, error) {
 // job, byte for byte. That determinism is what makes the arrival trace a
 // complete record of a live run.
 type Builder struct {
-	// Desc is a one-line description for service introspection.
-	Desc string
 	// Keys is the full set of accepted parameter names; submissions using
 	// any other key are rejected before they reach the cluster.
 	Keys []string
@@ -89,12 +87,6 @@ func (c *Catalog) Kinds() []string {
 	return ks
 }
 
-// Describe returns a kind's one-line description and accepted keys.
-func (c *Catalog) Describe(kind string) (Builder, bool) {
-	b, ok := c.builders[kind]
-	return b, ok
-}
-
 // Build constructs the job for one submission, validating the kind and
 // every parameter key first.
 func (c *Catalog) Build(kind, name string, p Params) (core.Runnable, error) {
@@ -130,8 +122,7 @@ func DefaultCatalog(phys int) *Catalog {
 	// maxData bounds any virtual dataset size: large enough for paper-scale
 	// runs (1 TB), small enough that chunk lists stay addressable.
 	const maxData = 1 << 40
-	c.Register("wo", Builder{
-		Desc: "word-occurrence count over a seeded corpus",
+	c.Register("wo", Builder{ // word-occurrence count over a seeded corpus
 		Keys: []string{"bytes", "gpus", "seed", "dict"},
 		Build: func(name string, p Params) (core.Runnable, error) {
 			bytes, err := p.ranged("bytes", 4<<20, 1, maxData)
@@ -157,8 +148,7 @@ func DefaultCatalog(phys int) *Catalog {
 			return &core.Scheduled[uint32]{Job: b.Job}, nil
 		},
 	})
-	c.Register("kmc", Builder{
-		Desc: "one k-means clustering iteration over seeded points",
+	c.Register("kmc", Builder{ // one k-means clustering iteration over seeded points
 		Keys: []string{"points", "gpus", "seed", "centers"},
 		Build: func(name string, p Params) (core.Runnable, error) {
 			points, err := p.ranged("points", 4<<20, 1, maxData)
@@ -184,8 +174,7 @@ func DefaultCatalog(phys int) *Catalog {
 			return &core.Scheduled[float64]{Job: b.Job}, nil
 		},
 	})
-	c.Register("sio", Builder{
-		Desc: "sparse-integer occurrence scan",
+	c.Register("sio", Builder{ // sparse-integer occurrence scan
 		Keys: []string{"elements", "gpus", "seed", "chunkcap"},
 		Build: func(name string, p Params) (core.Runnable, error) {
 			elements, err := p.ranged("elements", 8<<20, 1, maxData)

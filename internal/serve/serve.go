@@ -914,13 +914,6 @@ func (sv *Server) Stats() Stats {
 	return sv.ses.stats.clone()
 }
 
-// VirtualNow returns the virtual time of the service's last state change.
-func (sv *Server) VirtualNow() des.Time {
-	sv.ses.mu.Lock()
-	defer sv.ses.mu.Unlock()
-	return sv.ses.vnow
-}
-
 // Draining reports whether the server has begun shutting down. The
 // health endpoint uses it so a fleet router can tell a draining shard
 // (expected: its jobs will finish) from a lost one (failover).

@@ -66,16 +66,6 @@ func (ses *session) explain(name string) (obs.Explanation, error) {
 	return obs.ExplainJob(r.Canonical(), name), nil
 }
 
-// WriteTrace renders the full flight-recorder trace: every stream, as
-// Chrome trace-event JSON.
-func (sv *Server) WriteTrace(w io.Writer) error {
-	r := sv.ses.cl.Obs
-	if !r.Enabled() {
-		return ErrNoRecorder
-	}
-	return r.WriteChrome(w)
-}
-
 // Recorder exposes the server's flight recorder (nil when not
 // configured), for exports beyond the built-in endpoints.
 func (sv *Server) Recorder() *obs.Recorder { return sv.ses.cl.Obs }
