@@ -29,7 +29,6 @@ func main() {
 			GPUs:    *gpus,
 			PhysMax: 1 << 16,
 			Centers: 16,
-			Dim:     4,
 		})
 		if centers != nil {
 			copyCenters(b.Centers, centers)
@@ -44,7 +43,7 @@ func main() {
 		for i, k := range res.Output.Keys {
 			sums[k] += res.Output.Vals[i]
 		}
-		next := kmc.NewCenters(sums, 16, 4, b.Job.Config.VirtFactor)
+		next := kmc.NewCenters(sums, 16, b.Job.Config.VirtFactor)
 		moved := movement(centers, next)
 		centers = next
 		fmt.Printf("iteration %d: wall %v, center movement %.4f\n", it+1, res.Trace.Wall, moved)

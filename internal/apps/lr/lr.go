@@ -81,6 +81,7 @@ func (mapper) Map(ctx *core.MapContext[float64], c core.Chunk) {
 	if res.Len() == 0 {
 		init := gpu.KernelSpec{Name: "lr.init", Threads: int64(NumKeys)}
 		ctx.Launch(init, func() {
+			res.Grow(int(NumKeys))
 			for k := uint32(0); k < NumKeys; k++ {
 				res.Append(k, 0)
 			}
@@ -207,6 +208,7 @@ func (emitMapper) Map(ctx *core.MapContext[float64], c core.Chunk) {
 	}
 	ctx.Launch(spec, func() {
 		scale := float64(ctx.VirtFactor)
+		ctx.Emitted().Grow(ch.Elems() * int(NumKeys))
 		for i := 0; i < ch.Elems(); i++ {
 			x, y := ch.xy[2*i], ch.xy[2*i+1]
 			ctx.Emit(KeyN, scale)

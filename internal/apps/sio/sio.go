@@ -72,6 +72,7 @@ func (mapper) Map(ctx *core.MapContext[uint32], c core.Chunk) {
 		BytesWritten:   float64(virtN * 8), // key+value per element
 	}
 	ctx.Launch(spec, func() {
+		ctx.Emitted().Grow(len(ch.data))
 		for _, v := range ch.data {
 			ctx.Emit(v, 1)
 		}

@@ -95,6 +95,7 @@ func (m *mapper) Map(ctx *core.MapContext[uint32], c core.Chunk) {
 			BytesWritten: float64(m.dictSize * 8),
 		}
 		ctx.Launch(init, func() {
+			res.Grow(m.dictSize)
 			for k := 0; k < m.dictSize; k++ {
 				res.Append(uint32(k), 0)
 			}
@@ -234,6 +235,7 @@ func (m *emitMapper) Map(ctx *core.MapContext[uint32], c core.Chunk) {
 		BytesWritten:   float64(virtWords * 8),
 	}
 	ctx.Launch(spec, func() {
+		ctx.Emitted().Grow(ch.words)
 		for _, line := range ch.lines {
 			for _, w := range strings.Fields(line) {
 				ctx.Emit(m.table.Lookup(w), 1)

@@ -383,6 +383,7 @@ func (st *rankState[V]) combineTail(p *des.Proc) {
 			segs = cudpp.Segments(piece.Keys)
 		})
 		st.mctx.out.Reset()
+		st.mctx.out.Grow(len(segs)) // as for Reduce: one pair per value set
 		rt.job.Combiner.Combine(st.mctx, piece.Keys, segs, piece.Vals)
 		out := st.takeEmitted()
 		buf.Free()
@@ -627,6 +628,13 @@ func (st *rankState[V]) drainStaleControl() {
 // appending on receipt before partitions could be reassigned.
 func (st *rankState[V]) mergedPartition(part int) keyval.Pairs[V] {
 	var out keyval.Pairs[V]
+	n := 0
+	for i := range st.recvd {
+		if st.recvd[i].part == part {
+			n += st.recvd[i].pairs.Len()
+		}
+	}
+	out.Grow(n)
 	for i := range st.recvd {
 		if st.recvd[i].part == part {
 			out.AppendPairs(st.recvd[i].pairs)
@@ -748,6 +756,7 @@ func (st *rankState[V]) reduceStage(p *des.Proc, segs []cudpp.Segment, part int)
 			st.dev.CopyToDevice(p, virtShare*(4+valBytes), nil)
 		}
 		rctx.out.Reset()
+		rctx.out.Grow(take) // the usual reducer emits one pair per value set
 		rt.job.Reducer.Reduce(rctx, st.shuffle.Keys, chunkSegs, st.shuffle.Vals)
 		out := rctx.out
 		rctx.out = keyval.Pairs[V]{}

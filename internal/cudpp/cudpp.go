@@ -173,13 +173,21 @@ func Segments(keys []uint32) []Segment {
 	if len(keys) == 0 {
 		return nil
 	}
-	segs := make([]Segment, 0, 64)
+	// Count the runs first (the same pass checks the order), so the
+	// descriptors are allocated once at their exact size.
+	runs := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] != keys[i-1] {
+			if keys[i] < keys[i-1] {
+				panic("cudpp: Segments called on unsorted keys")
+			}
+			runs++
+		}
+	}
+	segs := make([]Segment, 0, runs)
 	start := 0
 	for i := 1; i <= len(keys); i++ {
 		if i == len(keys) || keys[i] != keys[start] {
-			if i < len(keys) && keys[i] < keys[start] {
-				panic("cudpp: Segments called on unsorted keys")
-			}
 			segs = append(segs, Segment{Key: keys[start], Start: start, Count: i - start})
 			start = i
 		}

@@ -10,6 +10,8 @@
 // virtual replication discussion in DESIGN.md.
 package keyval
 
+import "slices"
+
 // Pairs is a structure-of-arrays pair buffer: Keys[i] goes with Vals[i].
 // The SoA layout mirrors what a GPU implementation needs for coalescing.
 type Pairs[V any] struct {
@@ -42,6 +44,13 @@ func (p *Pairs[V]) VirtBytes(valBytes int64) int64 {
 func (p *Pairs[V]) Append(k uint32, v V) {
 	p.Keys = append(p.Keys, k)
 	p.Vals = append(p.Vals, v)
+}
+
+// Grow makes room for n more pairs, so the Appends that follow allocate
+// nothing. Emitters that know their count at kernel launch call it once.
+func (p *Pairs[V]) Grow(n int) {
+	p.Keys = slices.Grow(p.Keys, n)
+	p.Vals = slices.Grow(p.Vals, n)
 }
 
 // AppendPairs adds all pairs from q and folds in its virtual count.
@@ -93,13 +102,31 @@ func (p *Pairs[V]) Bucket(n int, rankOf func(key uint32) int) []Pairs[V] {
 	if n <= 0 {
 		panic("keyval: Bucket with n <= 0")
 	}
-	buckets := make([]Pairs[V], n)
+	// Count, then scatter: rankOf runs once per pair, and the buckets are
+	// capacity-limited windows of one exactly sized allocation, so none
+	// ever regrows and an append to one cannot reach its neighbour.
+	dest := make([]int32, len(p.Keys))
+	counts := make([]int, n)
 	for i, k := range p.Keys {
 		d := rankOf(k)
 		if d < 0 || d >= n {
 			panic("keyval: partitioner returned rank out of range")
 		}
-		buckets[d].Append(k, p.Vals[i])
+		dest[i] = int32(d)
+		counts[d]++
+	}
+	buckets := make([]Pairs[V], n)
+	keys, vals := make([]uint32, len(p.Keys)), make([]V, len(p.Keys))
+	off := 0
+	for d, c := range counts {
+		if c > 0 {
+			buckets[d].Keys = keys[off : off : off+c]
+			buckets[d].Vals = vals[off : off : off+c]
+			off += c
+		}
+	}
+	for i, d := range dest {
+		buckets[d].Append(p.Keys[i], p.Vals[i])
 	}
 	phys := int64(p.Len())
 	if phys == 0 {

@@ -90,6 +90,39 @@ func TestBucketStableAndComplete(t *testing.T) {
 	}
 }
 
+// TestBucketsDoNotAlias: the buckets share one allocation, so each must be
+// a full window of it — an append to one bucket may not land in the next.
+func TestBucketsDoNotAlias(t *testing.T) {
+	var p Pairs[int]
+	for i := 0; i < 9; i++ {
+		p.Append(uint32(i), i)
+	}
+	buckets := p.Bucket(3, func(k uint32) int { return int(k % 3) })
+	want := buckets[1].Clone()
+	buckets[0].Append(99, 99)
+	buckets[0].AppendPairs(&buckets[2])
+	if !Equal(&buckets[1], &want) {
+		t.Errorf("append to bucket 0 changed bucket 1: %v %v", buckets[1].Keys, buckets[1].Vals)
+	}
+}
+
+func TestGrowReservesWithoutChangingContents(t *testing.T) {
+	p := Pairs[int]{Keys: []uint32{1, 2}, Vals: []int{10, 20}, Virt: 7}
+	want := p.Clone()
+	p.Grow(100)
+	if !Equal(&p, &want) || p.Virt != 7 {
+		t.Fatalf("Grow changed the buffer: %+v", p)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		q := p
+		for i := 0; i < 100; i++ {
+			q.Append(uint32(i), i)
+		}
+	}); allocs != 0 {
+		t.Errorf("100 Appends after Grow(100) allocated %.0f times", allocs)
+	}
+}
+
 func TestBucketOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -9,8 +9,10 @@
 package mph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Table is an immutable minimal perfect hash over the dictionary it was
@@ -46,34 +48,49 @@ func Build(words []string) (*Table, error) {
 		return nil, errors.New("mph: empty dictionary")
 	}
 	nBuckets := (n + 3) / 4
-	buckets := make([][]string, nBuckets)
-	for _, w := range words {
-		b := int(hash(0, w) % uint64(nBuckets))
-		buckets[b] = append(buckets[b], w)
+	// Buckets laid out flat by count-then-scatter: bucket b's words are
+	// flat[start[b]:start[b+1]], in dictionary order.
+	bucketOf := make([]int32, n)
+	size := make([]int32, nBuckets)
+	for i, w := range words {
+		b := int32(hash(0, w) % uint64(nBuckets))
+		bucketOf[i] = b
+		size[b]++
 	}
-	// Largest buckets first: they have the fewest seed choices.
-	order := make([]int, nBuckets)
-	for i := range order {
-		order[i] = i
+	start := make([]int32, nBuckets+1)
+	maxSize := int32(0)
+	for b, sz := range size {
+		start[b+1] = start[b] + sz
+		maxSize = max(maxSize, sz)
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && len(buckets[order[j]]) > len(buckets[order[j-1]]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	flat := make([]string, n)
+	next := slices.Clone(start[:nBuckets])
+	for i, w := range words {
+		b := bucketOf[i]
+		flat[next[b]] = w
+		next[b]++
 	}
+	// Largest buckets first (they have the fewest seed choices), ties by
+	// bucket index.
+	order := make([]int32, nBuckets)
+	for b := range order {
+		order[b] = int32(b)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(size[b], size[a]) })
 	taken := make([]bool, n)
 	seeds := make([]int32, nBuckets)
+	marks := make([]int, 0, maxSize)
 	for _, bi := range order {
-		bucket := buckets[bi]
+		bucket := flat[start[bi]:start[bi+1]]
 		if len(bucket) == 0 {
-			continue
+			break // only empty buckets remain, and they need no seed
 		}
 	seedSearch:
 		for seed := int32(1); ; seed++ {
 			if seed > 1<<22 {
 				return nil, fmt.Errorf("mph: no displacement found for bucket of %d words (duplicate words?)", len(bucket))
 			}
-			marks := make([]int, 0, len(bucket))
+			marks = marks[:0]
 			for _, w := range bucket {
 				slot := int(hash(uint64(seed), w) % uint64(n))
 				if taken[slot] {

@@ -1,6 +1,7 @@
 package mph
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/workload"
@@ -93,13 +94,34 @@ func TestLookupCostGrowsWithLength(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild1k(b *testing.B) {
-	words := workload.Dictionary(9, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// TestBuildAllocsIndependentOfAttempts bounds Build's allocation count by
+// its bookkeeping slices alone. A 2 048-word build makes on the order of
+// 10^5 failed displacement attempts; a buffer allocated per attempt (or per
+// bucket) blows the ceiling by orders of magnitude.
+func TestBuildAllocsIndependentOfAttempts(t *testing.T) {
+	words := workload.Dictionary(1, 2048)
+	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := Build(words); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+	})
+	if allocs > 16 {
+		t.Errorf("Build(2048 words) made %.0f allocations, want at most 16", allocs)
+	}
+}
+
+func BenchmarkBuild1k(b *testing.B) {
+	for _, n := range []int{1000, workload.DictionarySize} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			words := workload.Dictionary(9, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(words); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

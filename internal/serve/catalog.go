@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/apps/kmc"
@@ -94,21 +95,17 @@ func (c *Catalog) Build(kind, name string, p Params) (core.Runnable, error) {
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown job kind %q (have %v)", kind, c.Kinds())
 	}
-	allowed := make(map[string]bool, len(b.Keys))
-	for _, k := range b.Keys {
-		allowed[k] = true
-	}
-	// Sorted key order so the rejection reason — which lands in the
-	// replay-diffed report — never depends on map iteration order.
-	keys := make([]string, 0, len(p))
+	// The smallest unaccepted key, so the rejection reason — which lands in
+	// the replay-diffed report — never depends on map iteration order.
+	var bad string
+	rejected := false
 	for k := range p {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !allowed[k] {
-			return nil, fmt.Errorf("serve: kind %q does not accept parameter %q (accepts %v)", kind, k, b.Keys)
+		if !slices.Contains(b.Keys, k) && (!rejected || k < bad) {
+			bad, rejected = k, true
 		}
+	}
+	if rejected {
+		return nil, fmt.Errorf("serve: kind %q does not accept parameter %q (accepts %v)", kind, bad, b.Keys)
 	}
 	return b.Build(name, p)
 }

@@ -311,6 +311,14 @@ func TestCatalogValidation(t *testing.T) {
 	if _, err := c.Build("wo", "x", Params{"byte": 1}); err == nil || !strings.Contains(err.Error(), "does not accept") {
 		t.Fatalf("unknown param: %v", err)
 	}
+	// Several unknown keys (the empty one included): the reason names the
+	// smallest, whatever order the map iterates in.
+	for i := 0; i < 8; i++ {
+		_, err := c.Build("wo", "x", Params{"zeta": 1, "seed": 1, "alpha": 1, "": 1, "bytes": 1})
+		if err == nil || !strings.Contains(err.Error(), `does not accept parameter "" (accepts [bytes gpus seed dict])`) {
+			t.Fatalf("unknown params: %v", err)
+		}
+	}
 	// Hostile values must reject, never panic: a catalog build runs on
 	// the engine goroutine, where a panic kills the whole service.
 	for name, p := range map[string]Params{
