@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -30,39 +29,8 @@ func main() {
 	summary := flag.Bool("summary", false, "print the flight recording's utilization and critical-path summary (implies recording)")
 	explain := flag.Bool("explain", false, "print the job's phase breakdown and bottleneck attribution (implies recording)")
 	flag.Parse()
-
-	opts := bench.Options{PhysBudget: *phys, Seed: *seed}
-	if *tracePath != "" || *summary || *explain {
-		opts.Obs = obs.New()
-	}
-	wall, tr, err := bench.Run(*benchName, *size, *gpus, opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
-		os.Exit(1)
-	}
-	b := tr.Breakdown()
-	fmt.Printf("%s: size %d on %d GPUs\n", *benchName, *size, *gpus)
-	fmt.Printf("wall %v\n", wall)
-	fmt.Printf("map %.1f%%  complete-binning %.1f%%  sort %.1f%%  reduce %.1f%%  internal %.1f%%\n",
-		b.Map*100, b.CompleteBinning*100, b.Sort*100, b.Reduce*100, b.Internal*100)
-	fmt.Printf("wire %.2f MB, intra-node %.2f MB\n", float64(tr.WireBytes)/1e6, float64(tr.LocalBytes)/1e6)
-	if *ranks {
-		fmt.Printf("%5s %12s %12s %12s %12s %8s %7s %9s\n",
-			"rank", "mapDone", "shuffleDone", "sortDone", "reduceDone", "chunks", "stolen", "outOfCore")
-		for r, rt := range tr.Ranks {
-			fmt.Printf("%5d %12v %12v %12v %12v %8d %7d %9v\n",
-				r, rt.MapDone, rt.ShuffleDone, rt.SortDone, rt.ReduceDone,
-				rt.ChunksMapped, rt.ChunksStolen, rt.OutOfCore)
-		}
-	}
-	if *summary {
-		fmt.Print(obs.Summarize(opts.Obs.Canonical()).String())
-	}
-	which := ""
-	if *explain {
-		which = "all"
-	}
-	if err := opts.Obs.Finish(os.Stdout, "gpmrsim", which, *tracePath); err != nil {
+	o := bench.Options{PhysBudget: *phys, Seed: *seed}
+	if err := bench.Sim(os.Stdout, *benchName, *size, *gpus, *ranks, *summary, *explain, *tracePath, o); err != nil {
 		fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
 		os.Exit(1)
 	}

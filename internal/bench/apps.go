@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/apps/kmc"
 	"repro/internal/apps/lr"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/gpu"
 	"repro/internal/mars"
+	"repro/internal/obs"
 	"repro/internal/phoenix"
 	"repro/internal/workload"
 )
@@ -247,4 +249,40 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 		return 0, nil, err
 	}
 	return tr.Wall, tr, nil
+}
+
+// Sim runs one benchmark job and writes gpmrsim's report to w: wall time,
+// stage breakdown and data movement, then as asked the per-rank traces,
+// the recording's summary, its explain breakdown and its Chrome trace.
+func Sim(w io.Writer, benchName string, size int64, gpus int, ranks, summary, explain bool, tracePath string, o Options) error {
+	if tracePath != "" || summary || explain {
+		o.Obs = obs.New()
+	}
+	wall, tr, err := Run(benchName, size, gpus, o)
+	if err != nil {
+		return err
+	}
+	b := tr.Breakdown()
+	fmt.Fprintf(w, "%s: size %d on %d GPUs\n", benchName, size, gpus)
+	fmt.Fprintf(w, "wall %v\n", wall)
+	fmt.Fprintf(w, "map %.1f%%  complete-binning %.1f%%  sort %.1f%%  reduce %.1f%%  internal %.1f%%\n",
+		b.Map*100, b.CompleteBinning*100, b.Sort*100, b.Reduce*100, b.Internal*100)
+	fmt.Fprintf(w, "wire %.2f MB, intra-node %.2f MB\n", float64(tr.WireBytes)/1e6, float64(tr.LocalBytes)/1e6)
+	if ranks {
+		fmt.Fprintf(w, "%5s %12s %12s %12s %12s %8s %7s %9s\n",
+			"rank", "mapDone", "shuffleDone", "sortDone", "reduceDone", "chunks", "stolen", "outOfCore")
+		for r, rt := range tr.Ranks {
+			fmt.Fprintf(w, "%5d %12v %12v %12v %12v %8d %7d %9v\n",
+				r, rt.MapDone, rt.ShuffleDone, rt.SortDone, rt.ReduceDone,
+				rt.ChunksMapped, rt.ChunksStolen, rt.OutOfCore)
+		}
+	}
+	if summary {
+		fmt.Fprint(w, obs.Summarize(o.Obs.Canonical()).String())
+	}
+	which := ""
+	if explain {
+		which = "all"
+	}
+	return o.Obs.Finish(w, "gpmrsim", which, tracePath)
 }

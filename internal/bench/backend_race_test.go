@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/apps/kmc"
 	"repro/internal/apps/sio"
-	"repro/internal/apps/wo"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/fault"
@@ -18,44 +16,19 @@ import (
 // closure pairs as possible.
 const stressWorkers = -1 // pool(GOMAXPROCS)
 
-// TestPoolRaceStressInvarianceMatrix reruns the PR 3 output-invariance
-// matrix — every combination of GPU count, steal policy, GPUDirect, and
-// pipeline depth, with placement skewed so stealing genuinely runs — on
-// the pooled backend, comparing each cell byte-for-byte against its
-// serial twin. Under `go test -race` (the CI race job) this doubles as
-// the data-race stress for the closure-capture contract: every cell runs
-// map/partition/sort/reduce closures from up to 8 simulated GPUs
-// concurrently on real cores.
+// TestPoolRaceStressInvarianceMatrix reruns the output-invariance matrix
+// — every combination of GPU count, steal policy, GPUDirect, and pipeline
+// depth, with placement skewed so stealing genuinely runs — on the pooled
+// backend, comparing each cell byte-for-byte against its serial twin.
+// Under `go test -race -tags identity` (the CI race job, which runs the
+// whole matrix) this doubles as the data-race stress for the
+// closure-capture contract: every cell runs map/partition/sort/reduce
+// closures from up to 8 simulated GPUs concurrently on real cores.
 func TestPoolRaceStressInvarianceMatrix(t *testing.T) {
-	apps := []struct {
-		name string
-		run  func(t *testing.T, pt invariancePoint, workers int) []byte
-	}{
-		{"wo", func(t *testing.T, pt invariancePoint, workers int) []byte {
-			b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18})
-			mutate(b.Job, pt)
-			b.Job.Config.Workers = workers
-			return canonBytes(t, b.Job.MustRun().PerRank)
-		}},
-		{"sio", func(t *testing.T, pt invariancePoint, workers int) []byte {
-			job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
-			mutate(job, pt)
-			job.Config.Workers = workers
-			return canonBytes(t, job.MustRun().PerRank)
-		}},
-		{"kmc", func(t *testing.T, pt invariancePoint, workers int) []byte {
-			b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 12})
-			mutate(b.Job, pt)
-			b.Job.Config.Workers = workers
-			return canonBytes(t, b.Job.MustRun().PerRank)
-		}},
-	}
-	for _, app := range apps {
+	for _, app := range invarianceApps {
 		t.Run(app.name, func(t *testing.T) {
 			for _, pt := range invarianceMatrix() {
-				serial := app.run(t, pt, 0)
-				pooled := app.run(t, pt, stressWorkers)
-				if !bytes.Equal(serial, pooled) {
+				if !bytes.Equal(app.run(t, pt, 0), app.run(t, pt, stressWorkers)) {
 					t.Errorf("%+v: pooled output diverges from serial", pt)
 				}
 			}

@@ -92,12 +92,18 @@ var diffApps = []struct {
 // byte-identical results and identical golden traces on the Serial,
 // Pool(1), and Pool(NumCPU) backends. The pool moves kernels' functional
 // work onto concurrent host goroutines; nothing observable may change.
+// Tier-1 runs one cell per app, 8 GPUs on Pool(NumCPU) against Serial;
+// the identity build tag runs the whole matrix.
 func TestBackendDifferentialMatrix(t *testing.T) {
+	gpuCounts, backends := []int{8}, []int{0, -1}
+	if full {
+		gpuCounts, backends = []int{1, 4, 8}, backendPoints()
+	}
 	for _, app := range diffApps {
 		t.Run(app.name, func(t *testing.T) {
-			for _, gpus := range []int{1, 4, 8} {
+			for _, gpus := range gpuCounts {
 				var want backendRun
-				for _, workers := range backendPoints() {
+				for _, workers := range backends {
 					got := app.run(t, gpus, workers)
 					if len(got.result) == 0 {
 						t.Fatalf("%d GPUs, %s: empty result", gpus, backendName(workers))
@@ -168,33 +174,6 @@ func TestBackendDifferentialFaults(t *testing.T) {
 		if got.trace != want.trace {
 			t.Errorf("%s fault-run golden trace diverges from serial:\n--- serial\n%s\n--- got\n%s",
 				backendName(workers), want.trace, got.trace)
-		}
-	}
-}
-
-// TestBackendDifferentialMultijob extends the matrix with the multi-tenant
-// stream: three admission policies over a 12-job mix on one shared
-// 16-rank cluster, where pooled kernels from co-resident tenants overlap
-// on real cores. The full per-policy cluster traces must be identical
-// across backends.
-func TestBackendDifferentialMultijob(t *testing.T) {
-	run := func(workers int) string {
-		_, traces, err := Multijob(Options{PhysBudget: 4096, Seed: 1, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var all bytes.Buffer
-		for _, ct := range traces {
-			all.WriteString(ct.String())
-			all.WriteByte('\n')
-		}
-		return all.String()
-	}
-	want := run(0)
-	for _, workers := range backendPoints()[1:] {
-		if got := run(workers); got != want {
-			t.Errorf("%s multijob cluster traces diverge from serial:\n--- serial\n%s\n--- got\n%s",
-				backendName(workers), want, got)
 		}
 	}
 }

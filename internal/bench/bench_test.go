@@ -65,6 +65,7 @@ func TestFig3MMScalesWell(t *testing.T) {
 }
 
 func TestFig2RowsComplete(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("fig2 at largest datasets in -short mode")
 	}
@@ -150,6 +151,7 @@ func TestWeakScaling(t *testing.T) {
 }
 
 func TestAblationDirections(t *testing.T) {
+	t.Parallel()
 	rows, err := Ablation(fast)
 	if err != nil {
 		t.Fatal(err)

@@ -1,31 +1,19 @@
 package bench
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// TestFleetDeterminism pins the fleet-routing sweep: same options, same
-// rows and same rendered table, run to run — and every cell accounts
-// for the whole stream.
-func TestFleetDeterminism(t *testing.T) {
-	o := Options{PhysBudget: 1 << 10, Seed: 1}
-	rows1, err := Fleet(o)
+// TestFleetScenario checks the fleet-routing sweep's shape: every cell
+// accounts for the whole stream, and the bounded-load walk is never more
+// skewed than plain hashing at the same width.
+func TestFleetScenario(t *testing.T) {
+	rows, err := Fleet(Options{PhysBudget: 1 << 10, Seed: 1})
 	if err != nil {
 		t.Fatalf("Fleet: %v", err)
 	}
-	rows2, err := Fleet(o)
-	if err != nil {
-		t.Fatalf("Fleet (second run): %v", err)
+	if len(rows) != 2*len(fleetShardCounts) {
+		t.Fatalf("got %d rows, want %d", len(rows), 2*len(fleetShardCounts))
 	}
-	if !reflect.DeepEqual(rows1, rows2) {
-		t.Fatalf("fleet sweep is not deterministic:\n%+v\nvs\n%+v", rows1, rows2)
-	}
-	if len(rows1) != 2*len(fleetShardCounts) {
-		t.Fatalf("got %d rows, want %d", len(rows1), 2*len(fleetShardCounts))
-	}
-	for _, r := range rows1 {
+	for _, r := range rows {
 		if r.Done+r.Rejected != FleetJobs {
 			t.Fatalf("row %+v: done+rejected = %d, want %d", r, r.Done+r.Rejected, FleetJobs)
 		}
@@ -35,8 +23,8 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	// The bounded-load walk must never be more skewed than plain hashing
 	// at the same width — leveling is the point.
-	for i := 0; i+1 < len(rows1); i += 2 {
-		plain, bounded := rows1[i], rows1[i+1]
+	for i := 0; i+1 < len(rows); i += 2 {
+		plain, bounded := rows[i], rows[i+1]
 		if plain.Bounded || !bounded.Bounded || plain.Shards != bounded.Shards {
 			t.Fatalf("row order changed: %+v then %+v", plain, bounded)
 		}
@@ -44,12 +32,6 @@ func TestFleetDeterminism(t *testing.T) {
 			t.Fatalf("bounded hashing more skewed than plain at %d shards: %+v vs %+v",
 				plain.Shards, bounded, plain)
 		}
-	}
-	var b1, b2 bytes.Buffer
-	RenderFleet(&b1, rows1)
-	RenderFleet(&b2, rows2)
-	if b1.String() != b2.String() {
-		t.Fatal("rendered fleet tables differ across runs")
 	}
 }
 

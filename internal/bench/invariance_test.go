@@ -60,6 +60,9 @@ type invariancePoint struct {
 	depth int
 }
 
+// invarianceMatrix is every combination with the identity build tag;
+// tier-1 keeps the first point, the baseline, and the last, which moves
+// every knob at once.
 func invarianceMatrix() []invariancePoint {
 	var pts []invariancePoint
 	for _, gpus := range []int{1, 4, 8} {
@@ -71,17 +74,45 @@ func invarianceMatrix() []invariancePoint {
 			}
 		}
 	}
+	if !full {
+		return []invariancePoint{pts[0], pts[len(pts)-1]}
+	}
 	return pts
 }
 
-// mutate applies one matrix point to a job and skews the initial chunk
-// placement onto rank 0, so the steal machinery genuinely runs and the
-// chunk→rank mapping genuinely differs across cells.
-func mutate[V any](job *core.Job[V], pt invariancePoint) {
+// mutate applies one matrix point and a kernel backend to a job and skews
+// the initial chunk placement onto rank 0, so the steal machinery
+// genuinely runs and the chunk→rank mapping genuinely differs across
+// cells.
+func mutate[V any](job *core.Job[V], pt invariancePoint, workers int) {
 	job.Config.StealPolicy = pt.steal
 	job.Config.GPUDirect = pt.gd
 	job.Config.PipelineDepth = pt.depth
+	job.Config.Workers = workers
 	job.Assign = func(int) int { return 0 }
+}
+
+// invarianceApps runs each app at one matrix point on a kernel backend
+// and returns its canonical answer.
+var invarianceApps = []struct {
+	name string
+	run  func(t *testing.T, pt invariancePoint, workers int) []byte
+}{
+	{"wo", func(t *testing.T, pt invariancePoint, workers int) []byte {
+		b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18})
+		mutate(b.Job, pt, workers)
+		return canonBytes(t, b.Job.MustRun().PerRank)
+	}},
+	{"sio", func(t *testing.T, pt invariancePoint, workers int) []byte {
+		job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
+		mutate(job, pt, workers)
+		return canonBytes(t, job.MustRun().PerRank)
+	}},
+	{"kmc", func(t *testing.T, pt invariancePoint, workers int) []byte {
+		b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 12})
+		mutate(b.Job, pt, workers)
+		return canonBytes(t, b.Job.MustRun().PerRank)
+	}},
 }
 
 // TestOutputInvarianceMatrix is the metamorphic test: for each app, every
@@ -90,32 +121,12 @@ func mutate[V any](job *core.Job[V], pt invariancePoint) {
 // work between ranks and reorder every accumulation — they may change the
 // cost, never the answer.
 func TestOutputInvarianceMatrix(t *testing.T) {
-	apps := []struct {
-		name string
-		run  func(t *testing.T, pt invariancePoint) []byte
-	}{
-		{"wo", func(t *testing.T, pt invariancePoint) []byte {
-			b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18})
-			mutate(b.Job, pt)
-			return canonBytes(t, b.Job.MustRun().PerRank)
-		}},
-		{"sio", func(t *testing.T, pt invariancePoint) []byte {
-			job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
-			mutate(job, pt)
-			return canonBytes(t, job.MustRun().PerRank)
-		}},
-		{"kmc", func(t *testing.T, pt invariancePoint) []byte {
-			b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: pt.gpus, Seed: 1, PhysMax: 1 << 12})
-			mutate(b.Job, pt)
-			return canonBytes(t, b.Job.MustRun().PerRank)
-		}},
-	}
-	for _, app := range apps {
+	for _, app := range invarianceApps {
 		t.Run(app.name, func(t *testing.T) {
 			var want []byte
 			var base invariancePoint
 			for _, pt := range invarianceMatrix() {
-				got := app.run(t, pt)
+				got := app.run(t, pt, 0)
 				if len(got) == 0 {
 					t.Fatalf("%+v produced empty output", pt)
 				}

@@ -11,8 +11,9 @@ import (
 // The flight recorder's contract, proven end to end: recording must not
 // perturb the simulation (every rendered report is byte-identical with
 // and without it — TestRecordingReachesEveryExperiment walks the registry
-// for that), and the canonical trace itself must be byte-identical across
-// engine shard counts and kernel-execution backends.
+// for that), and the recording is byte-identical across engine shard
+// counts >= 1 and kernel-execution backends (identity.sum's multijob
+// -trace cells).
 
 // traceOpts keeps the recording runs cheap enough for CI.
 func traceOpts() Options { return Options{PhysBudget: 2048, Seed: 1} }
@@ -31,43 +32,6 @@ func TestTracingDoesNotPerturbRunTrace(t *testing.T) {
 	if plain.String() != traced.String() {
 		t.Errorf("golden Trace.String differs with tracing on:\n--- off\n%s\n--- on\n%s",
 			plain.String(), traced.String())
-	}
-}
-
-// canonicalJSONL records one multijob run and returns its canonical
-// JSONL serialization.
-func canonicalJSONL(t *testing.T, shards, workers int) string {
-	t.Helper()
-	o := traceOpts()
-	o.Shards = shards
-	o.Workers = workers
-	o.Obs = obs.New()
-	if _, _, err := Multijob(o); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := o.Obs.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func TestTraceByteIdenticalAcrossShardsAndBackends(t *testing.T) {
-	// The recorded simulation trace is part of the deterministic output:
-	// every shard count >= 1 crossed with every kernel backend must
-	// produce the identical canonical file.
-	ref := canonicalJSONL(t, 1, 0)
-	if ref == "" {
-		t.Fatal("reference run recorded no events")
-	}
-	for _, c := range []struct{ shards, workers int }{
-		{2, 0}, {-1, 0}, {1, 4}, {2, 4}, {-1, 4},
-	} {
-		got := canonicalJSONL(t, c.shards, c.workers)
-		if got != ref {
-			t.Errorf("shards=%d workers=%d: canonical trace differs from shards=1 workers=0 (%d vs %d bytes)",
-				c.shards, c.workers, len(got), len(ref))
-		}
 	}
 }
 

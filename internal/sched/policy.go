@@ -118,15 +118,6 @@ type Policy struct {
 	// ignored elsewhere).
 	Share int
 
-	// NoBackfill disables skip-ahead admission for the sharing policies:
-	// by default, when the queue head does not fit on the idle ranks, the
-	// scheduler scans past it and admits any later job that does. The
-	// head is always tried first, so a head that fits is never overtaken;
-	// without Reserve, a head demanding more ranks than are ever
-	// simultaneously idle can still be delayed by a continuous stream of
-	// small jobs. FIFOExclusive never backfills regardless.
-	NoBackfill bool
-
 	// Reserve makes an EASY-style reservation for a blocked queue head:
 	// the cost model predicts when the running gangs will have freed
 	// enough ranks for the head, and a later job may only backfill if its
@@ -199,7 +190,10 @@ func (p Policy) Validate(totalRanks int) error {
 	return nil
 }
 
-// backfills reports whether the policy skips past a blocked queue head.
+// backfills reports whether the policy skips past a blocked queue head to
+// admit a later job that fits on the idle ranks. The head is tried first,
+// so a head that fits is never overtaken; without Reserve, one wider than
+// the idle ranks ever are can be delayed by a stream of small jobs.
 func (p Policy) backfills() bool {
-	return p.Kind != FIFOExclusive && !p.NoBackfill
+	return p.Kind != FIFOExclusive
 }

@@ -148,16 +148,6 @@ func TestBackfillStartsSmallJobEarly(t *testing.T) {
 	if c.Admit >= b.Admit {
 		t.Errorf("c (backfilled) admitted %v, not before blocked b at %v", c.Admit, b.Admit)
 	}
-
-	// With backfill disabled, c waits behind b.
-	ct2, err := Run(cc16(), Policy{Kind: FixedShare, Share: 12, NoBackfill: true}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, c2 := jobByID(ct2, 1), jobByID(ct2, 2)
-	if c2.Admit < b2.Admit {
-		t.Errorf("NoBackfill: c admitted %v before b at %v", c2.Admit, b2.Admit)
-	}
 }
 
 func TestWeightedFairMoldsOntoIdleRanks(t *testing.T) {
@@ -368,21 +358,18 @@ func TestMoldedGangDropsOutOfRangeFaultEvents(t *testing.T) {
 
 // TestBackfillSkipsUnfittableHead: a head-of-line job whose MinGang
 // exceeds everything that can come free while a long job runs must not
-// block the queue — backfill admits later small jobs ahead of it, and
-// NoBackfill (the control) makes them wait.
+// block the queue — backfill admits later small jobs ahead of it.
 func TestBackfillSkipsUnfittableHead(t *testing.T) {
-	specs := func() []JobSpec {
-		return []JobSpec{
-			// Holds 8 ranks for a long time.
-			{At: 0, Job: makeJob("long", 8, 16, 512), MinGang: 8},
-			// The unfittable head: needs all 16 ranks at once, refuses to
-			// mold below 16 — it cannot start until "long" finishes.
-			{At: des.Millisecond, Job: makeJob("head", 16, 4, 256), MinGang: 16},
-			// Small enough for the 8 idle ranks.
-			{At: 2 * des.Millisecond, Job: makeJob("little", 2, 2, 256)},
-		}
+	specs := []JobSpec{
+		// Holds 8 ranks for a long time.
+		{At: 0, Job: makeJob("long", 8, 16, 512), MinGang: 8},
+		// The unfittable head: needs all 16 ranks at once, refuses to
+		// mold below 16 — it cannot start until "long" finishes.
+		{At: des.Millisecond, Job: makeJob("head", 16, 4, 256), MinGang: 16},
+		// Small enough for the 8 idle ranks.
+		{At: 2 * des.Millisecond, Job: makeJob("little", 2, 2, 256)},
 	}
-	ct, err := Run(cc16(), Policy{Kind: WeightedFair}, specs())
+	ct, err := Run(cc16(), Policy{Kind: WeightedFair}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,15 +379,6 @@ func TestBackfillSkipsUnfittableHead(t *testing.T) {
 	}
 	if little.Admit >= head.Admit {
 		t.Errorf("backfill failed: little admitted %v, after head %v", little.Admit, head.Admit)
-	}
-
-	noBF, err := Run(cc16(), Policy{Kind: WeightedFair, NoBackfill: true}, specs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	head2, little2 := jobByID(noBF, 1), jobByID(noBF, 2)
-	if little2.Admit < head2.Admit {
-		t.Errorf("NoBackfill still overtook the head: little %v, head %v", little2.Admit, head2.Admit)
 	}
 }
 

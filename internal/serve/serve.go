@@ -279,7 +279,6 @@ func (c Config) header() Header {
 		Version:     TraceVersion,
 		Policy:      c.Policy.Kind.String(),
 		Share:       c.Policy.Share,
-		NoBackfill:  c.Policy.NoBackfill,
 		GPUs:        c.Cluster.GPUs,
 		GPUsPerNode: c.Cluster.GPUsPerNode,
 		MaxQueue:    c.MaxQueue,

@@ -30,7 +30,6 @@ type Header struct {
 	Version     int    `json:"version"`
 	Policy      string `json:"policy"`
 	Share       int    `json:"share,omitempty"`
-	NoBackfill  bool   `json:"noBackfill,omitempty"`
 	GPUs        int    `json:"gpus"`
 	GPUsPerNode int    `json:"gpusPerNode"`
 	MaxQueue    int    `json:"maxQueue"`
@@ -94,8 +93,7 @@ func (h Header) policy() (sched.Policy, error) {
 	if err != nil {
 		return sched.Policy{}, fmt.Errorf("serve: trace has unknown policy %q", h.Policy)
 	}
-	return sched.Policy{Kind: k, Share: h.Share, NoBackfill: h.NoBackfill,
-		Reserve: h.Reserve, Preempt: h.Preempt, Elastic: h.Elastic}, nil
+	return sched.Policy{Kind: k, Share: h.Share, Reserve: h.Reserve, Preempt: h.Preempt, Elastic: h.Elastic}, nil
 }
 
 // TraceWriter streams a live run's boundary events. Event ordering is the
@@ -211,6 +209,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		case ev.Arrive != nil:
 			if ev.Arrive.Seq != nextSeq {
 				return nil, fmt.Errorf("serve: trace arrival out of sequence: seq %d, want %d", ev.Arrive.Seq, nextSeq)
+			}
+			if len(ev.Arrive.Params) == 0 {
+				ev.Arrive.Params = nil // "params":{} is no params, as TraceWriter writes it
 			}
 			nextSeq++
 		case ev.Cancel != nil:
