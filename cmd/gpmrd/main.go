@@ -62,8 +62,7 @@ func main() {
 	policy := flag.String("policy", "weighted-fair", "admission policy: fifo-exclusive|fixed-share|weighted-fair")
 	share := flag.Int("share", 4, "per-gang rank cap (fixed-share only)")
 	reserve := flag.Bool("reserve", false, "EASY backfill reservation for the blocked queue head")
-	preempt := flag.Bool("preempt", false, "checkpoint-preempt running gangs for higher classes (also enables DELETE of running jobs)")
-	elastic := flag.Bool("elastic", false, "grow molded gangs back toward their request when ranks free up (weighted-fair only)")
+	preempt := flag.Bool("preempt", false, "checkpoint-preempt running gangs for higher classes, and grow opted-in molded gangs back when ranks free up (weighted-fair only); also enables DELETE of running jobs")
 	queue := flag.Int("queue", 16, "admission queue bound (negative = unbounded)")
 	quota := flag.Int("quota", 0, "per-tenant in-flight cap (0 = unlimited)")
 	scale := flag.Float64("timescale", 1, "virtual seconds per wall second at the boundary")
@@ -97,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("gpmrd: %v", err)
 	}
-	pol := sched.Policy{Kind: kind, Reserve: *reserve, Preempt: *preempt, Elastic: *elastic}
+	pol := sched.Policy{Kind: kind, Reserve: *reserve, Preempt: *preempt}
 	if kind == sched.FixedShare {
 		// Only fixed-share reads the cap; recording it under any other
 		// policy would put a knob in the trace header the operator never set.

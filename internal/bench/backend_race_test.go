@@ -17,8 +17,8 @@ import (
 const stressWorkers = -1 // pool(GOMAXPROCS)
 
 // TestPoolRaceStressInvarianceMatrix reruns the output-invariance matrix
-// — every combination of GPU count, steal policy, GPUDirect, and pipeline
-// depth, with placement skewed so stealing genuinely runs — on the pooled
+// — every combination of GPU count, steal policy and GPUDirect, with
+// placement skewed so stealing genuinely runs — on the pooled
 // backend, comparing each cell byte-for-byte against its serial twin.
 // Under `go test -race -tags identity` (the CI race job, which runs the
 // whole matrix) this doubles as the data-race stress for the

@@ -57,7 +57,6 @@ type invariancePoint struct {
 	gpus  int
 	steal core.StealPolicy
 	gd    bool
-	depth int
 }
 
 // invarianceMatrix is every combination with the identity build tag;
@@ -68,9 +67,7 @@ func invarianceMatrix() []invariancePoint {
 	for _, gpus := range []int{1, 4, 8} {
 		for _, steal := range []core.StealPolicy{core.StealGlobal, core.StealLocalFirst} {
 			for _, gd := range []bool{false, true} {
-				for _, depth := range []int{1, 2} {
-					pts = append(pts, invariancePoint{gpus, steal, gd, depth})
-				}
+				pts = append(pts, invariancePoint{gpus, steal, gd})
 			}
 		}
 	}
@@ -87,7 +84,6 @@ func invarianceMatrix() []invariancePoint {
 func mutate[V any](job *core.Job[V], pt invariancePoint, workers int) {
 	job.Config.StealPolicy = pt.steal
 	job.Config.GPUDirect = pt.gd
-	job.Config.PipelineDepth = pt.depth
 	job.Config.Workers = workers
 	job.Assign = func(int) int { return 0 }
 }
@@ -116,10 +112,9 @@ var invarianceApps = []struct {
 }
 
 // TestOutputInvarianceMatrix is the metamorphic test: for each app, every
-// combination of GPU count, steal policy, GPUDirect, and pipeline depth
-// must produce the byte-identical canonical answer. These knobs move
-// work between ranks and reorder every accumulation — they may change the
-// cost, never the answer.
+// combination of GPU count, steal policy and GPUDirect must produce the
+// byte-identical canonical answer. These knobs move work between ranks and
+// reorder every accumulation — they may change the cost, never the answer.
 func TestOutputInvarianceMatrix(t *testing.T) {
 	for _, app := range invarianceApps {
 		t.Run(app.name, func(t *testing.T) {

@@ -69,7 +69,7 @@ func sloConfigs() []sloConfig {
 	return []sloConfig{
 		{"fifo-exclusive", serve.Header{Policy: "fifo-exclusive"}},
 		{"weighted-fair", serve.Header{Policy: "weighted-fair"}},
-		{"weighted-fair+slo", serve.Header{Policy: "weighted-fair", Reserve: true, Preempt: true, Elastic: true}},
+		{"weighted-fair+slo", serve.Header{Policy: "weighted-fair", Reserve: true, Preempt: true}},
 	}
 }
 

@@ -3,7 +3,7 @@
 // and a fabric connecting the nodes. The default configuration reproduces
 // the paper's NCSA Accelerator cluster: 32 nodes, each with two dual-core
 // 2.4 GHz AMD Opterons, 8 GB of RAM, and an NVIDIA Tesla S1070 — four GT200
-// GPUs reached through two gen-1 PCIe x16 host interface cards (two GPUs
+// GPUs reached through two gen-2 PCIe x16 host interface cards (two GPUs
 // per card) — on QDR InfiniBand.
 package cluster
 

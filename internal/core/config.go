@@ -29,10 +29,6 @@ type Config struct {
 	// ValBytes is the virtual size of one value in bytes (keys are 4).
 	ValBytes int64
 
-	// PipelineDepth is how many chunks may be in flight per GPU between
-	// the loader and the mapper (default 2: double buffering).
-	PipelineDepth int
-
 	// Accumulate keeps map output resident on the GPU across chunks; the
 	// mapper folds each chunk's emissions into ctx.Resident(). Mutually
 	// exclusive with a Combiner and a PartialReducer (the paper: "at most
@@ -93,16 +89,6 @@ type Config struct {
 	// "Execution backends".
 	Workers int
 
-	// StealMinQueue is the minimum number of queued chunks a victim
-	// should hold to justify a shift (default 2: don't rob a queue of
-	// its only chunk — its owner will finish it sooner locally). For
-	// StealLocalFirst it defines when a node counts as dry: a thief
-	// crosses the node boundary once no same-node queue meets the
-	// threshold. Below-threshold queues are robbed (fullest first) only
-	// when no queue anywhere meets it — better one shift than an idle
-	// GPU.
-	StealMinQueue int
-
 	// Obs attaches a flight recorder to an exclusive run (nil = tracing
 	// off). It flows into the cluster the run builds; an explicit
 	// Cluster.Obs wins. Scheduled runs record through the shared
@@ -120,6 +106,20 @@ type Config struct {
 func (c Config) resilient() bool {
 	return c.Speculate || c.Faults.HasFailStop()
 }
+
+// pipelineDepth is how many chunks may be in flight per GPU between the
+// loader and the mapper, and how many emit buffers may await their D2H
+// copy: 2 is double buffering.
+const pipelineDepth = 2
+
+// stealMinQueue is the number of queued chunks a victim should hold to
+// justify a shift: don't rob a queue of its only chunk — its owner will
+// finish it sooner locally. For StealLocalFirst it defines when a node
+// counts as dry: a thief crosses the node boundary once no same-node
+// queue meets the threshold. Below-threshold queues are robbed (fullest
+// first) only when no queue anywhere meets it — better one shift than an
+// idle GPU.
+const stealMinQueue = 2
 
 // DefaultStartup is the per-job spin-up the benchmark applications charge,
 // calibrated to 2011-era CUDA context + MVAPICH2 job launch costs.
@@ -139,14 +139,8 @@ func (c Config) normalize() (Config, error) {
 	if c.ValBytes <= 0 {
 		c.ValBytes = 4
 	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 2
-	}
 	if c.StealPolicy != StealGlobal && c.StealPolicy != StealLocalFirst {
 		return c, fmt.Errorf("core: unknown StealPolicy %d", c.StealPolicy)
-	}
-	if c.StealMinQueue <= 0 {
-		c.StealMinQueue = 2
 	}
 	if err := c.Faults.Validate(c.GPUs); err != nil {
 		return c, fmt.Errorf("core: %w", err)

@@ -14,10 +14,10 @@ import (
 // may run on a real worker goroutine, concurrently with every other
 // simulated process, and joins no later than the kernel's simulated
 // completion (see gpu.Backend). Inside the closure, only touch state this
-// rank's map process owns — the context's emission buffer (Emit,
-// EmitPairs), its Resident() pairs, the chunk being mapped, and locals of
-// the enclosing Map call — plus immutable shared inputs (lookup tables,
-// centers, matrices). Never call the context's Launch/LaunchFor, the
+// rank's map process owns — the context's emission buffer (Emit), its
+// Resident() pairs, the chunk being mapped, and locals of the enclosing
+// Map call — plus immutable shared inputs (lookup tables, centers,
+// matrices). Never call the context's Launch/LaunchFor, the
 // device, or any des primitive from inside a closure, and never touch
 // state reachable from another rank. Everything outside the closure runs
 // on the simulated process as before.
@@ -52,13 +52,8 @@ func (c *MapContext[V]) LaunchForNamed(name string, cost des.Time, fn func()) de
 	return c.Dev.LaunchForNamed(c.Proc, name, cost, fn)
 }
 
-// Emit appends one pair to the current chunk's output. Use EmitPairs for
-// bulk emission with an explicit virtual count.
+// Emit appends one pair to the current chunk's output.
 func (c *MapContext[V]) Emit(key uint32, val V) { c.out.Append(key, val) }
-
-// EmitPairs appends a pair buffer (with its virtual count) to the current
-// chunk's output.
-func (c *MapContext[V]) EmitPairs(p *keyval.Pairs[V]) { c.out.AppendPairs(p) }
 
 // SetEmittedVirt overrides the virtual pair count of the current chunk's
 // emissions; mappers whose emission count scales with input size set this

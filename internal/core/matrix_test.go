@@ -20,7 +20,6 @@ func TestPipelineConfigurationMatrix(t *testing.T) {
 		{"partialreduce", func(j *Job[uint32]) { j.PartialReducer = localCombine{} }},
 		{"combiner", func(j *Job[uint32]) { j.Combiner = sumCombiner{} }},
 		{"nil-partitioner", func(j *Job[uint32]) { j.Partitioner = nil }},
-		{"deep-pipeline", func(j *Job[uint32]) { j.Config.PipelineDepth = 4 }},
 		{"block-partitioner", func(j *Job[uint32]) { j.Partitioner = BlockPartitioner{Span: 400} }},
 		{"with-startup", func(j *Job[uint32]) { j.Config.Startup = DefaultStartup }},
 	}

@@ -85,7 +85,7 @@ type rankState[V any] struct {
 	emitSlots    *des.Resource // bounds device emit buffers awaiting D2H
 	mctx         *MapContext[V]
 	hostCombine  keyval.Pairs[V]
-	combineReady *des.Signal
+	combineReady *des.WaitGroup // count 1 until the bin stage has flushed every map
 
 	recvd    []shufMsg[V]    // accepted shuffle deliveries, arrival order
 	seen     map[[2]int]bool // (chunk, part) exactly-once guard
@@ -103,8 +103,8 @@ func (rt *runtime[V]) spawnRank(eng *des.Engine, rank int) {
 		stream:    fmt.Sprintf("%s/r%d", rt.cfg.Name, rank),
 		loadedQ:   des.NewQueue(eng, rt.procName(fmt.Sprintf("r%d.loaded", rank))),
 		binQ:      des.NewQueue(eng, rt.procName(fmt.Sprintf("r%d.bin", rank))),
-		slots:     des.NewResource(eng, rt.procName(fmt.Sprintf("r%d.slots", rank)), rt.cfg.PipelineDepth),
-		emitSlots: des.NewResource(eng, rt.procName(fmt.Sprintf("r%d.emitslots", rank)), rt.cfg.PipelineDepth),
+		slots:     des.NewResource(eng, rt.procName(fmt.Sprintf("r%d.slots", rank)), pipelineDepth),
+		emitSlots: des.NewResource(eng, rt.procName(fmt.Sprintf("r%d.emitslots", rank)), pipelineDepth),
 		seen:      make(map[[2]int]bool),
 	}
 	st.mctx = &MapContext[V]{
@@ -114,7 +114,8 @@ func (rt *runtime[V]) spawnRank(eng *des.Engine, rank int) {
 		VirtFactor: rt.cfg.VirtFactor,
 	}
 	if rt.job.Combiner != nil {
-		st.combineReady = des.NewSignal(eng)
+		st.combineReady = des.NewWaitGroup(eng)
+		st.combineReady.Add(1)
 	}
 	rt.spawn(eng, rt.procName(fmt.Sprintf("r%d.loader", rank)), st.loaderProc)
 	rt.spawn(eng, rt.procName(fmt.Sprintf("r%d.map", rank)), st.mapProc)
@@ -146,7 +147,7 @@ func (st *rankState[V]) countRecv(from int, virtBytes int64) {
 }
 
 // loaderProc streams chunks onto the GPU, overlapping the H2D copy of the
-// next chunk with the map of the current one (bounded by PipelineDepth).
+// next chunk with the map of the current one (bounded by pipelineDepth).
 func (st *rankState[V]) loaderProc(p *des.Proc) {
 	if st.rt.cfg.Startup > 0 {
 		p.Sleep(st.rt.cfg.Startup)
@@ -453,7 +454,7 @@ func (st *rankState[V]) binProc(p *des.Proc) {
 			}
 		case binEndMaps:
 			if st.combineReady != nil {
-				st.combineReady.Fire()
+				st.combineReady.Done()
 			}
 		case binFinalEnd:
 			for dst := 0; dst < rt.cfg.GPUs; dst++ {

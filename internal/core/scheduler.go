@@ -83,7 +83,7 @@ type scheduler struct {
 	queues   [][]int // chunk indices per rank
 	g        *gang
 	policy   StealPolicy
-	minQueue int // victims should hold at least this many chunks
+	minQueue int // victims should hold at least this many chunks (stealMinQueue)
 
 	resilient bool
 	speculate bool
@@ -117,7 +117,7 @@ func newScheduler(eng *des.Engine, chunks []Chunk, cfg Config, g *gang, assign f
 		queues:    make([][]int, cfg.GPUs),
 		g:         g,
 		policy:    cfg.StealPolicy,
-		minQueue:  cfg.StealMinQueue,
+		minQueue:  stealMinQueue,
 		resilient: cfg.resilient(),
 		speculate: cfg.Speculate,
 		state:     make([]chunkState, len(chunks)),

@@ -17,7 +17,8 @@ func (c *stealChunk) VirtBytes() int64 { return c.bytes }
 
 // schedFixture builds a scheduler over a two-node cluster (ranks 0,1 on
 // node 0; ranks 2,3 on node 1) with queues[r] chunks of chunkBytes
-// pre-assigned to each rank.
+// pre-assigned to each rank, and minQueue in place of stealMinQueue so
+// the threshold logic can be probed at other values.
 func schedFixture(policy StealPolicy, minQueue int, queues [4]int, chunkBytes int64) (*des.Engine, *fabric.Fabric, *scheduler) {
 	eng := des.NewEngine()
 	cc := cluster.DefaultConfig(4)
@@ -35,8 +36,9 @@ func schedFixture(policy StealPolicy, minQueue int, queues [4]int, chunkBytes in
 			owner = append(owner, r)
 		}
 	}
-	cfg := Config{GPUs: 4, StealPolicy: policy, StealMinQueue: minQueue}
+	cfg := Config{GPUs: 4, StealPolicy: policy}
 	s := newScheduler(eng, chunks, cfg, g, func(c int) int { return owner[c] })
+	s.minQueue = minQueue
 	return eng, cl.Fabric, s
 }
 

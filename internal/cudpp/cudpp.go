@@ -1,64 +1,22 @@
-// Package cudpp provides the data-parallel primitives GPMR relies on —
-// scan, reduce, compact, radix sort, and segment extraction — standing in
-// for the CUDA Data-Parallel Primitives library the paper uses.
+// Package cudpp provides the two data-parallel primitives GPMR prices —
+// radix sort and segment extraction — standing in for the CUDA
+// Data-Parallel Primitives library the paper uses, plus the scan the
+// Mars baseline charges.
 //
 // Each primitive has a pure functional core (exact results, testable
-// against naive references) and a device wrapper that charges the simulated
-// GPU a cost derived from the primitive's real memory-traffic structure.
-// The radix sort is costed as CUDPP's 4-bit-digit LSD sort (8 passes of
-// histogram + scan + scatter over 32-bit keys), which lands near the
-// ~100–140 M pairs/s measured on GT200 by Satish et al. — the throughput
-// regime that makes Sort the single-GPU bottleneck for the paper's
-// SparseIntegerOccurrence benchmark.
+// against naive references) and a cost spec or device wrapper that
+// charges the simulated GPU a cost derived from the primitive's real
+// memory-traffic structure. The radix sort is costed as CUDPP's 4-bit-digit
+// LSD sort (8 passes of histogram + scan + scatter over 32-bit keys), which
+// lands near the ~100–140 M pairs/s measured on GT200 by Satish et al. —
+// the throughput regime that makes Sort the single-GPU bottleneck for the
+// paper's SparseIntegerOccurrence benchmark.
 package cudpp
 
 import (
 	"repro/internal/des"
 	"repro/internal/gpu"
 )
-
-// ScanExclusive computes the exclusive prefix sum of src into a new slice
-// and returns it together with the total.
-func ScanExclusive(src []int64) (out []int64, total int64) {
-	out = make([]int64, len(src))
-	var run int64
-	for i, v := range src {
-		out[i] = run
-		run += v
-	}
-	return out, run
-}
-
-// ScanInclusive computes the inclusive prefix sum of src into a new slice.
-func ScanInclusive(src []int64) []int64 {
-	out := make([]int64, len(src))
-	var run int64
-	for i, v := range src {
-		run += v
-		out[i] = run
-	}
-	return out
-}
-
-// Reduce sums src.
-func Reduce(src []int64) int64 {
-	var s int64
-	for _, v := range src {
-		s += v
-	}
-	return s
-}
-
-// Compact keeps src[i] where flags[i] is true, preserving order.
-func Compact[T any](src []T, flags []bool) []T {
-	out := make([]T, 0, len(src))
-	for i, v := range src {
-		if flags[i] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // scanSpec models a work-efficient GPU scan over n virtual elements of
 // elemBytes each: ~2 reads + 1 write per element across the up/down sweeps.
@@ -120,12 +78,6 @@ func SortPairs[V any](keys []uint32, vals []V) {
 	}
 }
 
-// SortKeys sorts keys ascending with the same radix structure.
-func SortKeys(keys []uint32) {
-	vals := make([]struct{}, len(keys))
-	SortPairs(keys, vals)
-}
-
 // SortPairsCost returns the modeled device time to radix-sort virtN pairs
 // whose values occupy valBytes each (keys are 4 bytes).
 func SortPairsCost(pr gpu.Props, virtN int64, valBytes int64) des.Time {
@@ -148,15 +100,6 @@ func SortPairsCost(pr gpu.Props, virtN int64, valBytes int64) des.Time {
 		total += hist.Cost(pr) + scan.Cost(pr) + scatter.Cost(pr)
 	}
 	return total
-}
-
-// DeviceSortPairs sorts the pairs functionally and charges the device the
-// modeled radix-sort time for virtN virtual pairs.
-func DeviceSortPairs[V any](p *des.Proc, d *gpu.Device, keys []uint32, vals []V, virtN int64, valBytes int64) des.Time {
-	cost := SortPairsCost(d.Props, virtN, valBytes)
-	return d.LaunchForNamed(p, "cudpp.sortpairs", cost, func() {
-		SortPairs(keys, vals)
-	})
 }
 
 // Segment describes one run of equal keys in a sorted pair buffer: values

@@ -10,63 +10,6 @@ import (
 	"repro/internal/gpu"
 )
 
-func TestScanExclusive(t *testing.T) {
-	src := []int64{3, 1, 4, 1, 5}
-	out, total := ScanExclusive(src)
-	want := []int64{0, 3, 4, 8, 9}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d]=%d, want %d", i, out[i], want[i])
-		}
-	}
-	if total != 14 {
-		t.Errorf("total=%d", total)
-	}
-}
-
-func TestScanExclusiveEmpty(t *testing.T) {
-	out, total := ScanExclusive(nil)
-	if len(out) != 0 || total != 0 {
-		t.Errorf("empty scan: %v %d", out, total)
-	}
-}
-
-func TestScanInclusive(t *testing.T) {
-	out := ScanInclusive([]int64{1, 2, 3})
-	want := []int64{1, 3, 6}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d]=%d", i, out[i])
-		}
-	}
-}
-
-func TestPropertyScansConsistent(t *testing.T) {
-	f := func(src []int64) bool {
-		ex, total := ScanExclusive(src)
-		in := ScanInclusive(src)
-		for i := range src {
-			if in[i] != ex[i]+src[i] {
-				return false
-			}
-		}
-		if len(src) > 0 && total != in[len(in)-1] {
-			return false
-		}
-		return total == Reduce(src)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCompact(t *testing.T) {
-	got := Compact([]string{"a", "b", "c", "d"}, []bool{true, false, false, true})
-	if len(got) != 2 || got[0] != "a" || got[1] != "d" {
-		t.Errorf("compact = %v", got)
-	}
-}
-
 func TestSortPairsBasic(t *testing.T) {
 	keys := []uint32{5, 3, 5, 1, 0xffffffff, 0}
 	vals := []string{"a", "b", "c", "d", "e", "f"}
@@ -158,7 +101,7 @@ func TestPropertySegmentsPartition(t *testing.T) {
 	// Segments must tile [0,n) exactly, with strictly increasing keys.
 	f := func(raw []uint32) bool {
 		keys := append([]uint32(nil), raw...)
-		SortKeys(keys)
+		SortPairs(keys, make([]struct{}, len(keys)))
 		segs := Segments(keys)
 		pos := 0
 		var prev uint32
@@ -200,32 +143,33 @@ func TestSortCostCalibration(t *testing.T) {
 	}
 }
 
+// TestDeviceSortOccupiesCompute: a sort launched the way the pipeline
+// launches it — SortPairs under its modeled cost — holds the device for
+// exactly that cost and leaves the pairs sorted.
 func TestDeviceSortOccupiesCompute(t *testing.T) {
 	eng := des.NewEngine()
 	link := des.NewResource(eng, "pcie", 1)
-	d := gpu.NewDevice(eng, 0, gpu.GT200(), link, gpu.PCIeGen1x16())
+	d := gpu.NewDevice(eng, 0, gpu.GT200(), link, gpu.PCIeGen2x16())
 	keys := []uint32{3, 1, 2}
 	vals := []int{30, 10, 20}
+	cost := SortPairsCost(d.Props, 1<<20, 4)
 	var dur des.Time
 	eng.Spawn("sorter", func(p *des.Proc) {
-		dur = DeviceSortPairs(p, d, keys, vals, 1<<20, 4)
+		dur = d.LaunchForNamed(p, "cudpp.sortpairs", cost, func() { SortPairs(keys, vals) })
 	})
 	end := eng.Run()
-	if end != dur {
-		t.Errorf("end %v != sort duration %v", end, dur)
+	if dur != cost || end != cost {
+		t.Errorf("sort took %v and ended at %v, want the modeled cost %v", dur, end, cost)
 	}
 	if keys[0] != 1 || vals[0] != 10 || keys[2] != 3 || vals[2] != 30 {
 		t.Errorf("sorted: %v %v", keys, vals)
-	}
-	if d.KernelTime != dur {
-		t.Errorf("kernel time %v, want %v", d.KernelTime, dur)
 	}
 }
 
 func TestDeviceSegmentsFunctional(t *testing.T) {
 	eng := des.NewEngine()
 	link := des.NewResource(eng, "pcie", 1)
-	d := gpu.NewDevice(eng, 0, gpu.GT200(), link, gpu.PCIeGen1x16())
+	d := gpu.NewDevice(eng, 0, gpu.GT200(), link, gpu.PCIeGen2x16())
 	var segs []Segment
 	eng.Spawn("seg", func(p *des.Proc) {
 		segs, _ = DeviceSegments(p, d, []uint32{7, 7, 9}, 3)

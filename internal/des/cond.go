@@ -2,18 +2,17 @@ package des
 
 // Cond is a reusable broadcast wait-point: processes park with Wait until
 // some other process calls Broadcast, which wakes every current waiter at
-// the present simulated time. Unlike Signal it carries no fired state and
+// the present simulated time. Unlike a WaitGroup it carries no count and
 // can be waited on again after each broadcast — the building block for
 // "re-check a shared condition whenever it may have changed" loops (the
 // resilient chunk scheduler parks starved ranks on one while chunks may
 // still be requeued by a failure or completed elsewhere).
 type Cond struct {
-	eng     *Engine
 	waiters []*Proc
 }
 
 // NewCond creates a condition on the engine.
-func NewCond(eng *Engine) *Cond { return &Cond{eng: eng} }
+func NewCond(eng *Engine) *Cond { return &Cond{} }
 
 // Wait parks p until the next Broadcast. Callers must re-check their
 // condition after waking and wait again if it still does not hold.

@@ -8,9 +8,9 @@
 // scheduling. Processes are ordinary goroutines that hand control back to
 // the engine whenever they perform a blocking simulation primitive (Sleep,
 // resource Acquire, queue Get). The package provides FIFO resources with
-// integer capacity, unbounded message queues, one-shot signals, condition
-// broadcasts, and waitgroups — enough to model compute engines, buses,
-// NICs, and MPI-style message passing.
+// integer capacity, unbounded message queues, condition broadcasts, and
+// waitgroups (a one-shot wait is a waitgroup at count 1) — enough to model
+// compute engines, buses, NICs, and MPI-style message passing.
 //
 // # Concurrency contract
 //
@@ -22,16 +22,16 @@
 // exactly one of {the dispatch loop, the single running process} at a
 // time. The process table holds live processes only — one leaves when its
 // body returns — so an engine's memory follows what is running, not what
-// has run. Primitives (Resource, Queue, Signal, Cond, WaitGroup) are engine-
-// confined too, with one twist: an idle Resource re-homes to the engine of
-// its next acquirer, and every primitive delivers wake-ups on the parked
-// process's OWN engine — which is what lets hardware models (NICs, PCIe
-// links, GPU engines) be leased to tenants on different shards over time
-// without any locking. A primitive must never be touched concurrently from
-// two shards; callers guarantee that by confining each cooperating process
-// group (a job's gang) to one shard and leasing shared hardware
-// whole-node, so at any instant each primitive has exactly one owning
-// shard.
+// has run. Primitives (Resource, Queue, Cond, WaitGroup) are engine-
+// confined too, with one twist: a primitive keeps no engine of its own
+// (its constructor's engine argument names the first owner and is not
+// stored) and delivers every wake-up on the parked process's OWN engine —
+// which is what lets hardware models (NICs, PCIe links, GPU engines) be
+// leased to tenants on different shards over time without any locking.
+// A primitive must never be touched concurrently from two shards; callers
+// guarantee that by confining each cooperating process group (a job's
+// gang) to one shard and leasing shared hardware whole-node, so at any
+// instant each primitive has exactly one owning shard.
 //
 // Shard ownership. A ShardSet runs N engines in rounds under conservative
 // lookahead: each round the coordinator computes, from every shard's

@@ -175,18 +175,6 @@ func (e *Engine) schedule(at Time, class uint64, p *Proc) {
 	e.queue.pushEvent(event{at: at, seq: e.seq | class, proc: p})
 }
 
-// Park suspends the calling process indefinitely; another process must call
-// Engine.Wake to resume it. It is the building block for synchronization
-// primitives defined outside this package (e.g. fabric barriers).
-func (p *Proc) Park() { p.park() }
-
-// Wake resumes a process suspended with Park (or any parked waiter) at the
-// current simulated time. The wake is delivered on the process's own
-// engine: synchronization primitives migrate between shards (see
-// Resource), so the engine that created a primitive is not necessarily
-// the one whose clock governs its waiters.
-func (e *Engine) Wake(p *Proc) { p.eng.wake(p) }
-
 // wake reschedules a parked process to run at the current time. It is used
 // by resources and queues when a waiter becomes runnable.
 func (e *Engine) wake(p *Proc) {
@@ -226,10 +214,6 @@ func (p *Proc) sleep(d Time, class uint64) {
 	p.eng.yield <- yieldMsg{proc: p}
 	<-p.resume
 }
-
-// Yield gives other runnable processes scheduled at the current time a
-// chance to run before the caller continues.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Run executes the simulation until every spawned process has finished.
 // It returns the final simulated time. If all remaining processes are

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,20 +153,6 @@ func TestResourceFIFONoOvertake(t *testing.T) {
 	}
 }
 
-func TestResourceUtilizationIntegral(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "eng", 1)
-	e.Spawn("u", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		r.Use(p, 1, 10*Microsecond)
-		p.Sleep(5 * Microsecond)
-	})
-	e.Run()
-	if got := r.BusyIntegral(); got != 10*Microsecond {
-		t.Errorf("busy integral %v, want 10us", got)
-	}
-}
-
 func TestQueueBlocksUntilPut(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue(e, "ch")
@@ -223,39 +210,6 @@ func TestQueueTryGet(t *testing.T) {
 	}
 }
 
-func TestSignalBroadcast(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var woken []Time
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Wait(p)
-			woken = append(woken, p.Now())
-		})
-	}
-	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(3 * Microsecond)
-		s.Fire()
-	})
-	e.Spawn("late", func(p *Proc) {
-		p.Sleep(5 * Microsecond)
-		s.Wait(p) // already fired: returns immediately
-		woken = append(woken, p.Now())
-	})
-	e.Run()
-	if len(woken) != 4 {
-		t.Fatalf("woken %d times, want 4", len(woken))
-	}
-	for i, w := range woken[:3] {
-		if w != 3*Microsecond {
-			t.Errorf("waiter %d woke at %v, want 3us", i, w)
-		}
-	}
-	if woken[3] != 5*Microsecond {
-		t.Errorf("late waiter woke at %v, want 5us", woken[3])
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine()
 	wg := NewWaitGroup(e)
@@ -275,6 +229,41 @@ func TestWaitGroup(t *testing.T) {
 	e.Run()
 	if doneAt != 3*Microsecond {
 		t.Errorf("waitgroup released at %v, want 3us", doneAt)
+	}
+}
+
+// TestWaitGroupOneShot: at count 1 a WaitGroup is a one-shot broadcast —
+// every earlier waiter wakes at the Done, in the order it parked, and a
+// Wait after the Done returns at once.
+func TestWaitGroupOneShot(t *testing.T) {
+	e := NewEngine()
+	wg := NewWaitGroup(e)
+	wg.Add(1)
+	var order []int
+	var woken []Time
+	for i := 0; i < 3; i++ {
+		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			wg.Wait(p)
+			order = append(order, i)
+			woken = append(woken, p.Now())
+		})
+	}
+	e.Spawn("done", func(p *Proc) {
+		p.Sleep(3 * Microsecond)
+		wg.Done()
+	})
+	e.Spawn("late", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		wg.Wait(p)
+		order = append(order, 3)
+		woken = append(woken, p.Now())
+	})
+	e.Run()
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("wake order %v, want [0 1 2 3]", order)
+	}
+	if !slices.Equal(woken, []Time{3 * Microsecond, 3 * Microsecond, 3 * Microsecond, 5 * Microsecond}) {
+		t.Errorf("woken at %v, want three at 3us and the late waiter at 5us", woken)
 	}
 }
 

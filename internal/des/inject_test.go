@@ -255,7 +255,7 @@ func TestBoundaryWorkRunsAfterOrdinaryTies(t *testing.T) {
 			}
 		}()
 		for before := len(eng.procs); len(eng.procs) == before; {
-			p.Yield() // back to the dispatch loop, which drains injections
+			p.Sleep(0) // back to the dispatch loop, which drains injections
 		}
 		eng.Spawn("setter", func(*Proc) { set = true })
 	})

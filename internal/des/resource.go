@@ -8,12 +8,9 @@ import "fmt"
 // are currently free. This models real hardware queues (PCIe, NIC DMA rings)
 // and keeps simulations deterministic and starvation-free.
 type Resource struct {
-	eng     *Engine
 	name    string
 	cap     int
 	held    int
-	busy    Time // cumulative units·time integral, for utilization reporting
-	lastTs  Time
 	waiters []resWaiter
 }
 
@@ -28,7 +25,7 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("des: resource capacity must be positive")
 	}
-	return &Resource{eng: eng, name: name, cap: capacity}
+	return &Resource{name: name, cap: capacity}
 }
 
 // Name returns the resource's name.
@@ -36,18 +33,6 @@ func (r *Resource) Name() string { return r.name }
 
 // Cap returns the resource's capacity.
 func (r *Resource) Cap() int { return r.cap }
-
-func (r *Resource) accountTo(now Time) {
-	r.busy += Time(r.held) * (now - r.lastTs)
-	r.lastTs = now
-}
-
-// BusyIntegral returns the integral of held units over time, used to compute
-// average utilization as BusyIntegral / (capacity × elapsed).
-func (r *Resource) BusyIntegral() Time {
-	r.accountTo(r.eng.now)
-	return r.busy
-}
 
 // Acquire blocks p until n units are available and then holds them.
 func (r *Resource) Acquire(p *Proc, n int) {
@@ -57,19 +42,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n > r.cap {
 		panic(fmt.Sprintf("des: Acquire(%d) exceeds capacity %d of %s", n, r.cap, r.name))
 	}
-	if r.held == 0 && len(r.waiters) == 0 && r.eng != p.eng {
-		// An idle facility adopts its next user's engine. Hardware modeled
-		// by a resource (a NIC, a PCIe link, a GPU engine) is leased to one
-		// shard's tenant at a time in sharded runs; re-homing on the idle
-		// boundary keeps Release's busy accounting and wake-ups in the time
-		// domain of the shard that actually holds it.
-		// Zero units were held since lastTs, so the busy integral carries
-		// over unchanged; only the timestamp moves into the new domain.
-		r.eng = p.eng
-		r.lastTs = p.Now()
-	}
 	if len(r.waiters) == 0 && r.held+n <= r.cap {
-		r.accountTo(p.Now())
 		r.held += n
 		return
 	}
@@ -86,7 +59,6 @@ func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.held {
 		panic(fmt.Sprintf("des: Release(%d) with %d held on %s", n, r.held, r.name))
 	}
-	r.accountTo(r.eng.now)
 	r.held -= n
 	for len(r.waiters) > 0 {
 		w := r.waiters[0]
@@ -112,7 +84,6 @@ func (r *Resource) Use(p *Proc, n int, d Time) {
 // blocks; Get blocks until an item is available. Multiple getters are served
 // in arrival order.
 type Queue struct {
-	eng     *Engine
 	name    string
 	items   []any
 	waiters []queueWaiter
@@ -125,7 +96,7 @@ type queueWaiter struct {
 
 // NewQueue creates an empty queue.
 func NewQueue(eng *Engine, name string) *Queue {
-	return &Queue{eng: eng, name: name}
+	return &Queue{name: name}
 }
 
 // Len returns the number of buffered items.
@@ -167,48 +138,15 @@ func (q *Queue) TryGet() (v any, ok bool) {
 	return v, true
 }
 
-// Signal is a one-shot broadcast: processes that Wait before Fire are all
-// woken when Fire is called; Waits after Fire return immediately.
-type Signal struct {
-	eng     *Engine
-	fired   bool
-	waiters []*Proc
-}
-
-// NewSignal creates an unfired signal.
-func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
-
-// Fire wakes all current waiters; later Waits return immediately.
-func (s *Signal) Fire() {
-	if s.fired {
-		return
-	}
-	s.fired = true
-	for _, p := range s.waiters {
-		p.eng.wake(p)
-	}
-	s.waiters = nil
-}
-
-// Wait blocks p until the signal fires.
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
 // WaitGroup counts outstanding work items, like sync.WaitGroup but in
 // simulated time.
 type WaitGroup struct {
-	eng     *Engine
 	count   int
 	waiters []*Proc
 }
 
 // NewWaitGroup creates a WaitGroup with zero count.
-func NewWaitGroup(eng *Engine) *WaitGroup { return &WaitGroup{eng: eng} }
+func NewWaitGroup(eng *Engine) *WaitGroup { return &WaitGroup{} }
 
 // Add increments the count by n (n may be negative, like sync.WaitGroup).
 func (w *WaitGroup) Add(n int) {

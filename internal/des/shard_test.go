@@ -191,9 +191,10 @@ func TestPostValidation(t *testing.T) {
 func TestShardSetDeadlockAggregates(t *testing.T) {
 	ss := NewShardSet(2)
 	ss.DeclareEdge(0, 1, 3)
-	sig := NewSignal(ss.Engine(1))
+	never := NewWaitGroup(ss.Engine(1))
+	never.Add(1)
 	ss.Post(ss.Engine(0), 1, -1, 3, "waiter.launch", func(p *Proc) {
-		p.Engine().Spawn("stuck", func(q *Proc) { sig.Wait(q) })
+		p.Engine().Spawn("stuck", func(q *Proc) { never.Wait(q) })
 	})
 	expectPanic(t, "deadlock", func() { ss.Run() })
 }

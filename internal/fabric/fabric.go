@@ -46,7 +46,6 @@ type Message struct {
 
 // Fabric connects a set of ranks placed on nodes.
 type Fabric struct {
-	eng    *des.Engine
 	props  Props
 	nodeOf []int
 	inbox  []*des.Queue
@@ -71,7 +70,6 @@ func New(eng *des.Engine, props Props, nodeOf []int) *Fabric {
 		}
 	}
 	f := &Fabric{
-		eng:        eng,
 		props:      props,
 		nodeOf:     append([]int(nil), nodeOf...),
 		inbox:      make([]*des.Queue, len(nodeOf)),
@@ -114,9 +112,6 @@ func (f *Fabric) LocalBytes() int64 {
 
 // Ranks returns the number of ranks.
 func (f *Fabric) Ranks() int { return len(f.nodeOf) }
-
-// NodeOf returns the node hosting rank r.
-func (f *Fabric) NodeOf(r int) int { return f.nodeOf[r] }
 
 // SameNode reports whether two ranks share a node.
 func (f *Fabric) SameNode(a, b int) bool { return f.nodeOf[a] == f.nodeOf[b] }
@@ -198,40 +193,4 @@ func (f *Fabric) Transfer(p *des.Proc, from, to int, virtBytes int64) des.Time {
 	in.Release(1)
 	out.Release(1)
 	return p.Now() - start
-}
-
-// Barrier synchronizes a fixed set of participants, reusable across rounds.
-type Barrier struct {
-	eng     *des.Engine
-	n       int
-	arrived int
-	waiters []*des.Proc
-	lat     des.Time
-}
-
-// NewBarrier creates a barrier for n participants; each release costs one
-// fabric latency (a dissemination barrier would cost log2(n)·latency — we
-// charge the single hop MVAPICH2 achieves on this node count).
-func (f *Fabric) NewBarrier(n int) *Barrier {
-	return &Barrier{eng: f.eng, n: n, lat: f.props.Latency}
-}
-
-// Arrive blocks until all n participants have arrived.
-func (b *Barrier) Arrive(p *des.Proc) {
-	b.arrived++
-	if b.arrived < b.n {
-		b.waiters = append(b.waiters, p)
-		p.Park()
-		return
-	}
-	// Last arrival releases everyone after one latency hop. Wakes go
-	// through each waiter's own engine (see des.Engine.Wake), so a barrier
-	// serves whichever shard its participants run on.
-	b.arrived = 0
-	waiters := b.waiters
-	b.waiters = nil
-	p.Sleep(b.lat)
-	for _, w := range waiters {
-		b.eng.Wake(w)
-	}
 }

@@ -109,56 +109,13 @@ func TestTransferIntraNode(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesTogether(t *testing.T) {
-	eng := des.NewEngine()
-	f := twoNodeFabric(eng)
-	b := f.NewBarrier(3)
-	var releases []des.Time
-	for i := 0; i < 3; i++ {
-		d := des.Time(i+1) * des.Microsecond
-		eng.Spawn("p", func(p *des.Proc) {
-			p.Sleep(d)
-			b.Arrive(p)
-			releases = append(releases, p.Now())
-		})
-	}
-	eng.Run()
-	want := 3*des.Microsecond + f.props.Latency
-	for i, r := range releases {
-		if r != want {
-			t.Errorf("participant %d released at %v, want %v", i, r, want)
-		}
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	eng := des.NewEngine()
-	f := twoNodeFabric(eng)
-	b := f.NewBarrier(2)
-	rounds := make([]int, 2)
-	for i := 0; i < 2; i++ {
-		id := i
-		eng.Spawn("p", func(p *des.Proc) {
-			for r := 0; r < 3; r++ {
-				p.Sleep(des.Time(id+1) * des.Microsecond)
-				b.Arrive(p)
-				rounds[id]++
-			}
-		})
-	}
-	eng.Run()
-	if rounds[0] != 3 || rounds[1] != 3 {
-		t.Errorf("rounds %v", rounds)
-	}
-}
-
 func TestSameNode(t *testing.T) {
 	eng := des.NewEngine()
 	f := twoNodeFabric(eng)
 	if !f.SameNode(0, 1) || f.SameNode(1, 2) {
 		t.Error("SameNode topology wrong")
 	}
-	if f.Ranks() != 4 || f.NodeOf(3) != 1 {
+	if f.Ranks() != 4 || !f.SameNode(2, 3) || f.SameNode(0, 3) {
 		t.Error("rank bookkeeping wrong")
 	}
 }

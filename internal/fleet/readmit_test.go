@@ -232,8 +232,9 @@ func TestRefusedStealKeepsTheJob(t *testing.T) {
 }
 
 // TestRecoverAdoptsSLOFields: a restarted router adopts the shards' tagged
-// jobs; what a shard's record keeps of the SLO (class, deadline) is
-// adopted with it, so a later failover of an adopted job keeps it too.
+// jobs; what a shard's record keeps of the submission (class, deadline,
+// weight, MinGang, downgrade, the elastic opt-in) is adopted with it, so
+// a later failover or steal of an adopted job re-admits it as submitted.
 func TestRecoverAdoptsSLOFields(t *testing.T) {
 	s := newStubShard(t)
 	s.jobs = []serve.JobInfo{{ID: 3, Tenant: "ana", Kind: "wo", Tag: "f9", TraceID: "f9",
@@ -252,6 +253,26 @@ func TestRecoverAdoptsSLOFields(t *testing.T) {
 	}
 	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Job.Tag != "f10" {
 		t.Fatalf("fresh tag %q collides with the adopted range, want f10", st.Job.Tag)
+	}
+
+	// Through a real shard's record, every submission field comes back.
+	shard := newTestShard(t)
+	defer shard.hs.Close()
+	defer shard.sv.Drain()
+	sub := serve.Request{Tenant: "ana", Kind: "sio",
+		Params: serve.Params{"elements": 1 << 20, "gpus": 4, "seed": 1},
+		Weight: 3, MinGang: 2, Class: "standard", Deadline: 10 * des.Second,
+		Downgrade: true, Elastic: true, Tag: "f4", TraceID: "f4"}
+	if _, err := shard.sv.Submit(sub); err != nil {
+		t.Fatalf("shard Submit: %v", err)
+	}
+	rt, err = New(Config{Shards: []Shard{{ID: "s0", URL: shard.hs.URL}}, Logf: quiet})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rt.recover()
+	if jobs := rt.Jobs(); len(jobs) != 1 || !reflect.DeepEqual(jobs[0].Request, sub) {
+		t.Fatalf("adopted %+v, want one job re-admitted as submitted: %+v", jobs, sub)
 	}
 }
 

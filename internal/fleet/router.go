@@ -300,7 +300,8 @@ func (rt *Router) recover() {
 			job := &FleetJob{
 				ID: len(rt.jobs),
 				Request: serve.Request{Tenant: info.Tenant, Kind: info.Kind, Params: info.Params,
-					Class: info.Class, Deadline: info.Deadline, Tag: info.Tag, TraceID: info.TraceID},
+					Weight: info.Weight, MinGang: info.MinGang, Class: info.Class, Deadline: info.Deadline,
+					Downgrade: info.Downgrade, Elastic: info.Elastic, Tag: info.Tag, TraceID: info.TraceID},
 				Shard: id, ShardJob: info.ID, State: info.Status, Reason: info.Reason, Attempts: 1,
 			}
 			rt.jobs = append(rt.jobs, job)

@@ -16,7 +16,6 @@ type Device struct {
 	Props
 	ID int
 
-	eng     *des.Engine
 	compute *des.Resource
 	copyEng *des.Resource
 
@@ -24,13 +23,8 @@ type Device struct {
 	pcieBW  float64
 	pcieLat des.Time
 	memUsed int64
-	memPeak int64
-	buffers int
 	derate  float64 // heterogeneity factor: >1 stretches kernel & PCIe durations
 	exec    Backend // runs kernels' functional closures (default Serial)
-	// Accumulated busy times for utilization reporting.
-	KernelTime des.Time
-	CopyTime   des.Time
 	// Flight recorder (nil = disabled) and this device's precomputed
 	// stream keys, so the hot path never formats strings.
 	rec      *obs.Recorder
@@ -43,7 +37,6 @@ func NewDevice(eng *des.Engine, id int, pr Props, pcieLink *des.Resource, pciePr
 	return &Device{
 		Props:   pr,
 		ID:      id,
-		eng:     eng,
 		compute: des.NewResource(eng, fmt.Sprintf("gpu%d.compute", id), 1),
 		copyEng: des.NewResource(eng, fmt.Sprintf("gpu%d.copy", id), pr.CopyEngines),
 		pcie:    pcieLink,
@@ -107,9 +100,6 @@ func (d *Device) scaled(t des.Time) des.Time {
 // MemUsed returns the currently allocated device memory in virtual bytes.
 func (d *Device) MemUsed() int64 { return d.memUsed }
 
-// MemPeak returns the high-water mark of device memory use.
-func (d *Device) MemPeak() int64 { return d.memPeak }
-
 // MemFree returns the remaining device memory in virtual bytes.
 func (d *Device) MemFree() int64 { return d.MemBytes - d.memUsed }
 
@@ -147,10 +137,6 @@ func (d *Device) Alloc(name string, virtBytes int64, data any) (*Buffer, error) 
 		return nil, &ErrOutOfMemory{Device: d.ID, Requested: virtBytes, Free: d.MemFree()}
 	}
 	d.memUsed += virtBytes
-	if d.memUsed > d.memPeak {
-		d.memPeak = d.memUsed
-	}
-	d.buffers++
 	return &Buffer{dev: d, name: name, virtBytes: virtBytes, Data: data}, nil
 }
 
@@ -167,24 +153,6 @@ func (d *Device) MustAlloc(name string, virtBytes int64, data any) *Buffer {
 // VirtBytes returns the buffer's size at paper scale.
 func (b *Buffer) VirtBytes() int64 { return b.virtBytes }
 
-// Resize adjusts the buffer's accounted size (emit buffers shrink after
-// compaction, grow after accumulation).
-func (b *Buffer) Resize(virtBytes int64) error {
-	if b.freed {
-		panic("gpu: resize of freed buffer " + b.name)
-	}
-	delta := virtBytes - b.virtBytes
-	if delta > 0 && b.dev.memUsed+delta > b.dev.MemBytes {
-		return &ErrOutOfMemory{Device: b.dev.ID, Requested: delta, Free: b.dev.MemFree()}
-	}
-	b.dev.memUsed += delta
-	if b.dev.memUsed > b.dev.memPeak {
-		b.dev.memPeak = b.dev.memUsed
-	}
-	b.virtBytes = virtBytes
-	return nil
-}
-
 // Free releases the buffer's device memory. Freeing twice is a bug.
 func (b *Buffer) Free() {
 	if b.freed {
@@ -192,7 +160,6 @@ func (b *Buffer) Free() {
 	}
 	b.freed = true
 	b.dev.memUsed -= b.virtBytes
-	b.dev.buffers--
 	b.Data = nil
 }
 
@@ -216,7 +183,6 @@ func (d *Device) Launch(p *des.Proc, spec KernelSpec, fn func()) des.Time {
 			obs.A("name", spec.Name))
 	}
 	d.compute.Release(1)
-	d.KernelTime += cost
 	return cost
 }
 
@@ -245,7 +211,6 @@ func (d *Device) LaunchForNamed(p *des.Proc, name string, cost des.Time, fn func
 			obs.A("name", name))
 	}
 	d.compute.Release(1)
-	d.KernelTime += cost
 	return cost
 }
 
@@ -267,7 +232,6 @@ func (d *Device) transfer(p *des.Proc, dir string, virtBytes int64, fn func()) d
 	}
 	d.pcie.Release(1)
 	d.copyEng.Release(1)
-	d.CopyTime += dur
 	return dur
 }
 

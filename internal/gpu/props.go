@@ -83,14 +83,6 @@ type PCIeProps struct {
 	Latency   des.Time // per-transfer setup cost
 }
 
-// PCIeGen1x16 returns the effective characteristics of a generation-1
-// PCIe x16 link (4 GB/s theoretical, ~3.2 GB/s achieved, ~10 µs
-// per-transfer overhead through the 2011 CUDA stack). The paper's cluster
-// attaches its InfiniBand HCAs through gen-1 PCIe.
-func PCIeGen1x16() PCIeProps {
-	return PCIeProps{Bandwidth: 3.2e9, Latency: 10 * des.Microsecond}
-}
-
 // PCIeGen2x16 returns the effective characteristics of a generation-2
 // PCIe x16 link (8 GB/s theoretical, ~5.2 GB/s achieved with pinned
 // buffers). The Tesla S1070's host interface cards are gen-2 parts, each

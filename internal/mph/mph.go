@@ -120,7 +120,3 @@ func (t *Table) Lookup(w string) uint32 {
 	b := hash(0, w) % uint64(len(t.seeds))
 	return uint32(hash(uint64(t.seeds[b]), w) % uint64(t.slots))
 }
-
-// LookupCostFlops is the modeled arithmetic cost of one GPU-side lookup
-// (two short hash loops over the word bytes plus a modular reduction).
-func LookupCostFlops(wordLen int) float64 { return float64(4*wordLen + 8) }

@@ -88,12 +88,6 @@ func TestLookupDeterministic(t *testing.T) {
 	}
 }
 
-func TestLookupCostGrowsWithLength(t *testing.T) {
-	if LookupCostFlops(10) <= LookupCostFlops(3) {
-		t.Error("lookup cost should grow with word length")
-	}
-}
-
 // TestBuildAllocsIndependentOfAttempts bounds Build's allocation count by
 // its bookkeeping slices alone. A 2 048-word build makes on the order of
 // 10^5 failed displacement attempts; a buffer allocated per attempt (or per

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,11 @@ func TestAttrAccessors(t *testing.T) {
 	}
 }
 
+// jsonlGolden is TestWriteJSONLGolden's export, byte for byte.
+const jsonlGolden = `{"t":1000,"dur":2000,"stream":"gpu0.compute","kind":"kernel","attrs":{"name":"map"}}
+{"t":1500,"dur":0,"stream":"wc/r0","kind":"steal","attrs":{"from":"2"}}
+`
+
 func TestWriteJSONLGolden(t *testing.T) {
 	r := New()
 	r.Span(1000, 3000, CatSim, "gpu0.compute", "kernel", A("name", "map"))
@@ -107,11 +113,8 @@ func TestWriteJSONLGolden(t *testing.T) {
 	if err := r.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"t":1000,"dur":2000,"stream":"gpu0.compute","kind":"kernel","attrs":{"name":"map"}}
-{"t":1500,"dur":0,"stream":"wc/r0","kind":"steal","attrs":{"from":"2"}}
-`
-	if buf.String() != want {
-		t.Fatalf("JSONL:\n%s\nwant:\n%s", buf.String(), want)
+	if buf.String() != jsonlGolden {
+		t.Fatalf("JSONL:\n%s\nwant:\n%s", buf.String(), jsonlGolden)
 	}
 	// Every line is valid JSON.
 	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
@@ -239,4 +242,37 @@ func TestPercentileNearestRank(t *testing.T) {
 	if p := percentile(nil, 50); p != 0 {
 		t.Fatalf("empty p50 = %d, want 0", p)
 	}
+}
+
+// FuzzReadJSONL feeds ReadJSONL bytes no WriteJSONL wrote: it must return
+// an error or accept, never panic, and events it accepts, written back
+// with WriteJSONL, must read back equal. Seeds: the golden export, and
+// truncated, non-object and wrong-type lines; testdata/fuzz/FuzzReadJSONL
+// keeps the corpus tier-1 replays.
+func FuzzReadJSONL(f *testing.F) {
+	f.Add([]byte(jsonlGolden))
+	f.Add([]byte(jsonlGolden[:len(jsonlGolden)/2]))
+	f.Add([]byte(`[{"t":1,"dur":0,"stream":"s","kind":"k"}]`))
+	f.Add([]byte(`"kernel"` + "\n" + `17`))
+	f.Add([]byte(`{"t":"1","dur":0,"stream":"s","kind":"k"}`))
+	f.Add([]byte(`{"t":1,"dur":0,"stream":7,"kind":"k"}`))
+	f.Add([]byte(`{"t":1,"dur":0,"stream":"s","kind":"k","attrs":{"n":3}}`))
+	f.Add([]byte(`{"t":1.5,"dur":1e3,"stream":"s","kind":"k","extra":[1,{"x":null}]}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		evs, err := ReadJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteJSONL(&buf, evs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("written back, the accepted events no longer read: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, evs) {
+			t.Fatalf("the accepted events, written back as\n%s\nread as %+v, want %+v", buf.Bytes(), again, evs)
+		}
+	})
 }

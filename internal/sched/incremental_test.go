@@ -140,7 +140,6 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 		{Kind: WeightedFair},
 		{Kind: WeightedFair, Reserve: true},
 		{Kind: WeightedFair, Reserve: true, Preempt: true},
-		{Kind: WeightedFair, Reserve: true, Preempt: true, Elastic: true},
 	}
 	var starts, preempted, preemptCancelled, cancelled, rejected, downgraded, grown int
 	for pi, pol := range policies {

@@ -130,13 +130,12 @@ type Policy struct {
 	// boundary, release their ranks, and requeue for a deterministic
 	// restart from scratch (partial output is discarded — jobs are
 	// deterministic, so a restart reproduces the uninterrupted result).
+	// The same checkpoint grows gangs back for jobs that opted in
+	// (JobSpec.Elastic): when the queue is empty and a WeightedFair gang
+	// that was molded below its fair share could at least double by
+	// relaunching on the now-idle ranks, it is checkpointed and
+	// re-expanded.
 	Preempt bool
-
-	// Elastic enables grow-back for jobs that opted in (JobSpec.Elastic):
-	// when the queue is empty and a WeightedFair gang that was molded
-	// below its fair share could at least double by relaunching on the
-	// now-idle ranks, it is checkpointed and re-expanded.
-	Elastic bool
 }
 
 // Named validation errors. Policy and submission mistakes must surface as
@@ -168,9 +167,9 @@ var (
 	ErrBadClass = errors.New("sched: unknown service class")
 	// ErrBadDeadline reports a negative deadline.
 	ErrBadDeadline = errors.New("sched: negative deadline")
-	// ErrBadPreempt reports Preempt or Elastic on FIFOExclusive, which
-	// never shares the machine and so has nothing to preempt or grow.
-	ErrBadPreempt = errors.New("sched: Preempt/Elastic require a sharing policy")
+	// ErrBadPreempt reports Preempt on FIFOExclusive, which never shares
+	// the machine and so has nothing to preempt or grow.
+	ErrBadPreempt = errors.New("sched: Preempt requires a sharing policy")
 )
 
 // Validate checks the policy against a cluster of totalRanks.
@@ -184,7 +183,7 @@ func (p Policy) Validate(totalRanks int) error {
 	default:
 		return fmt.Errorf("%w: %d", ErrUnknownPolicy, int(p.Kind))
 	}
-	if p.Kind == FIFOExclusive && (p.Preempt || p.Elastic) {
+	if p.Kind == FIFOExclusive && p.Preempt {
 		return ErrBadPreempt
 	}
 	return nil

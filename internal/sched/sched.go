@@ -38,7 +38,7 @@ type JobSpec struct {
 	// DowngradeOnMiss demotes a predicted-miss job to Batch instead of
 	// rejecting it. The deadline is kept for attainment reporting.
 	DowngradeOnMiss bool
-	// Elastic opts the job into Policy.Elastic grow-back: when it was
+	// Elastic opts the job into grow-back (under Policy.Preempt): when it was
 	// molded below its fair share and ranks later idle, it may be
 	// checkpointed and relaunched on a wider gang.
 	Elastic bool
@@ -472,7 +472,7 @@ func Run(cc cluster.Config, pol Policy, specs []JobSpec) (*ClusterTrace, error) 
 // preemption requeues). A blocked head may trigger class preemption
 // (Policy.Preempt) or take an EASY reservation (Policy.Reserve) that
 // gates backfill behind its predicted start; with the queue drained,
-// Policy.Elastic looks for a molded gang worth growing back.
+// Policy.Preempt also looks for a molded gang worth growing back.
 func (s *Scheduler) admit() {
 	var resAt des.Time
 	reserved := false
@@ -519,7 +519,7 @@ func (s *Scheduler) admit() {
 		s.queue = append(s.queue[:i], s.queue[i+1:]...)
 		s.start(rec, size, i > 0)
 	}
-	if s.pol.Elastic && len(s.queue) == 0 {
+	if s.pol.Preempt && len(s.queue) == 0 {
 		s.growBack()
 	}
 }

@@ -253,9 +253,10 @@ func TestClassPreemption(t *testing.T) {
 	}
 }
 
-// TestElasticGrowBack: a WeightedFair job molded onto 2 idle ranks is
-// checkpointed and relaunched on a wider gang once the big job frees the
-// cluster — only when it opted in via JobSpec.Elastic.
+// TestElasticGrowBack: under Policy.Preempt, a WeightedFair job molded
+// onto 2 idle ranks is checkpointed and relaunched on a wider gang once
+// the big job frees the cluster — only when it opted in via
+// JobSpec.Elastic.
 func TestElasticGrowBack(t *testing.T) {
 	mk := func(elastic bool) (b *core.Scheduled[uint32], specs []JobSpec) {
 		b = makeJob("b", 8, 8, 512)
@@ -266,7 +267,7 @@ func TestElasticGrowBack(t *testing.T) {
 		return
 	}
 	_, ctrlSpecs := mk(false)
-	ctrl, err := Run(cc16(), Policy{Kind: WeightedFair, Elastic: true}, ctrlSpecs)
+	ctrl, err := Run(cc16(), Policy{Kind: WeightedFair, Preempt: true}, ctrlSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestElasticGrowBack(t *testing.T) {
 		t.Fatalf("control: non-elastic job got %d ranks with %d preempts, want molded 2/0", bc.Granted, bc.Preempts)
 	}
 	bJob, specs := mk(true)
-	ct, err := Run(cc16(), Policy{Kind: WeightedFair, Elastic: true}, specs)
+	ct, err := Run(cc16(), Policy{Kind: WeightedFair, Preempt: true}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,6 +138,15 @@ type JobInfo struct {
 	Want    int `json:"want,omitempty"`
 	Granted int `json:"granted,omitempty"`
 
+	// The submission's scheduling requests, echoed as given so a
+	// restarted fleet router that adopts the job from this record
+	// re-admits it with them (fleet.Router.recover). Omitted at their
+	// zero values, as in Request.
+	Weight    int  `json:"weight,omitempty"`
+	MinGang   int  `json:"minGang,omitempty"`
+	Downgrade bool `json:"downgrade,omitempty"`
+	Elastic   bool `json:"elastic,omitempty"`
+
 	// SLO record: normalized class name (set only when the submission used
 	// SLO features), relative deadline, whether admission demoted the job
 	// to batch, and — on a shed/quota reject — the predicted queue-drain
@@ -286,7 +295,6 @@ func (c Config) header() Header {
 		PhysBudget:  c.Catalog.PhysBudget(),
 		Reserve:     c.Policy.Reserve,
 		Preempt:     c.Policy.Preempt,
-		Elastic:     c.Policy.Elastic,
 	}
 }
 
@@ -411,6 +419,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		ID: id, Tenant: req.Tenant, Kind: req.Kind, Name: name, Params: req.Params,
 		Tag: req.Tag, TraceID: req.TraceID, Arrival: now,
 		State: Rejected, Status: Rejected.String(),
+		Weight: req.Weight, MinGang: req.MinGang, Downgrade: req.Downgrade, Elastic: req.Elastic,
 	}
 	ses.runnables = append(ses.runnables, nil)
 	ses.schedOf = append(ses.schedOf, -1)

@@ -19,7 +19,7 @@ import (
 // the encoding when unused, so pre-SLO traces are byte-unchanged.
 func TestSLOTraceRoundTrip(t *testing.T) {
 	h := Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8, GPUsPerNode: 4,
-		PhysBudget: 4096, Reserve: true, Preempt: true, Elastic: true}
+		PhysBudget: 4096, Reserve: true, Preempt: true}
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, h)
 	w.Arrive(Arrival{Seq: 0, At: 5, Request: Request{Tenant: "a", Kind: "wo", Params: Params{"bytes": 1024},
@@ -34,14 +34,14 @@ func TestSLOTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if !tr.Header.Reserve || !tr.Header.Preempt || !tr.Header.Elastic {
+	if !tr.Header.Reserve || !tr.Header.Preempt {
 		t.Fatalf("header SLO switches mangled: %+v", tr.Header)
 	}
 	pol, err := tr.Header.policy()
 	if err != nil {
 		t.Fatalf("policy: %v", err)
 	}
-	if !pol.Reserve || !pol.Preempt || !pol.Elastic {
+	if !pol.Reserve || !pol.Preempt {
 		t.Fatalf("policy drops SLO switches: %+v", pol)
 	}
 	a := tr.Events[0].Arrive
@@ -251,7 +251,7 @@ func TestSLOLiveReplayIdentity(t *testing.T) {
 	var rec bytes.Buffer
 	sv := startTestServer(t, Config{
 		Cluster: cluster.DefaultConfig(8),
-		Policy:  sched.Policy{Kind: sched.WeightedFair, Reserve: true, Preempt: true, Elastic: true},
+		Policy:  sched.Policy{Kind: sched.WeightedFair, Reserve: true, Preempt: true},
 		TraceW:  &rec,
 	})
 	reqs := []Request{
@@ -293,7 +293,7 @@ func TestSLOLiveReplayIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if !tr.Header.Reserve || !tr.Header.Preempt || !tr.Header.Elastic {
+	if !tr.Header.Reserve || !tr.Header.Preempt {
 		t.Fatalf("recorded header lost SLO switches: %+v", tr.Header)
 	}
 	replay, err := Replay(tr, ReplayOptions{Catalog: testCatalog()})

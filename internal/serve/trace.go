@@ -37,10 +37,10 @@ type Header struct {
 	PhysBudget  int    `json:"physBudget"`
 
 	// SLO scheduling switches (sched.Policy); omitted when off so pre-SLO
-	// traces are byte-unchanged.
+	// traces are byte-unchanged. Preempt includes grow-back; ReadTrace
+	// refuses an older header whose "elastic" key was set without it.
 	Reserve bool `json:"reserve,omitempty"`
 	Preempt bool `json:"preempt,omitempty"`
-	Elastic bool `json:"elastic,omitempty"`
 
 	// Shard and Epoch are the fleet header: when this daemon serves as one
 	// shard of a gpmrfleet, the router's registration handshake stamps the
@@ -93,7 +93,7 @@ func (h Header) policy() (sched.Policy, error) {
 	if err != nil {
 		return sched.Policy{}, fmt.Errorf("serve: trace has unknown policy %q", h.Policy)
 	}
-	return sched.Policy{Kind: k, Share: h.Share, Reserve: h.Reserve, Preempt: h.Preempt, Elastic: h.Elastic}, nil
+	return sched.Policy{Kind: k, Share: h.Share, Reserve: h.Reserve, Preempt: h.Preempt}, nil
 }
 
 // TraceWriter streams a live run's boundary events. Event ordering is the
@@ -181,12 +181,22 @@ func (t *TraceWriter) Flush() error {
 
 // ReadTrace parses a recorded trace, validating version, event ordering
 // (times must be non-decreasing — the engine applied them that way), and
-// sequence numbering.
+// sequence numbering. A header from before grow-back folded into preempt
+// that set "elastic" without "preempt" is refused: replayed today it
+// would run without grow-back, and so not reproduce its recording.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	dec := json.NewDecoder(r)
 	var tr Trace
-	if err := dec.Decode(&tr.Header); err != nil {
+	var hdr struct {
+		Header
+		Elastic bool `json:"elastic"`
+	}
+	if err := dec.Decode(&hdr); err != nil {
 		return nil, fmt.Errorf("serve: reading trace header: %w", err)
+	}
+	tr.Header = hdr.Header
+	if hdr.Elastic && !hdr.Preempt {
+		return nil, errors.New(`serve: trace header sets "elastic" without "preempt"; grow-back is part of preempt now, so this trace cannot replay as recorded`)
 	}
 	if tr.Header.Version != TraceVersion {
 		return nil, fmt.Errorf("serve: trace version %d, want %d", tr.Header.Version, TraceVersion)

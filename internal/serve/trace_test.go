@@ -54,6 +54,9 @@ var badTraces = map[string]string{
 	"empty event":      traceHead + `{}` + "\n",
 	"double event":     traceHead + `{"arrive":{"seq":0,"at":1,"tenant":"a","kind":"wo"},"cancel":{"seq":0,"at":1}}` + "\n",
 	"garbage":          traceHead + `not json` + "\n",
+	// Grow-back rides on preempt: a header from before the fold that set
+	// elastic alone would replay without it.
+	"elastic without preempt": strings.Replace(traceHead, `"physBudget":64`, `"physBudget":64,"elastic":true`, 1),
 }
 
 func TestTraceReadRejects(t *testing.T) {
@@ -61,6 +64,14 @@ func TestTraceReadRejects(t *testing.T) {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadTrace accepted bad input", name)
 		}
+	}
+	_, err := ReadTrace(strings.NewReader(badTraces["elastic without preempt"]))
+	if err == nil || !strings.Contains(err.Error(), "grow-back is part of preempt") {
+		t.Errorf("elastic without preempt: err = %v, want it to name the fold into preempt", err)
+	}
+	folded := strings.Replace(traceHead, `"physBudget":64`, `"physBudget":64,"preempt":true,"elastic":true`, 1)
+	if tr, err := ReadTrace(strings.NewReader(folded)); err != nil || !tr.Header.Preempt {
+		t.Errorf("elastic with preempt: %v, %+v; want it read as preempt", err, tr)
 	}
 	if _, err := ReadTrace(strings.NewReader(traceHead)); err != nil {
 		t.Errorf("event-free trace rejected: %v", err)
@@ -99,7 +110,7 @@ func TestHeaderTimes(t *testing.T) {
 // JSON keys behind seq/at, so this fixture is what guards the embedding:
 // a renamed tag, a reordered field or a lost omitempty changes these bytes
 // and breaks replay of every recorded trace.
-const goldenTrace = `{"version":1,"policy":"weighted-fair","gpus":8,"gpusPerNode":4,"maxQueue":16,"physBudget":4096,"reserve":true,"preempt":true,"elastic":true,"shard":"s1","epoch":3}
+const goldenTrace = `{"version":1,"policy":"weighted-fair","gpus":8,"gpusPerNode":4,"maxQueue":16,"physBudget":4096,"reserve":true,"preempt":true,"shard":"s1","epoch":3}
 {"arrive":{"seq":0,"at":5,"tenant":"a","kind":"wo","params":{"bytes":1024}}}
 {"arrive":{"seq":1,"at":9,"tenant":"b","kind":"kmc","params":{"gpus":4,"points":4096},"weight":2,"minGang":4,"class":"interactive","deadline":25000000,"downgrade":true,"elastic":true,"tag":"f7","traceId":"trace-7"}}
 {"cancel":{"seq":0,"at":12}}
@@ -113,7 +124,7 @@ func TestTraceWireFormatGolden(t *testing.T) {
 
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf, Header{Version: TraceVersion, Policy: "weighted-fair", GPUs: 8, GPUsPerNode: 4,
-		MaxQueue: 16, PhysBudget: 4096, Reserve: true, Preempt: true, Elastic: true})
+		MaxQueue: 16, PhysBudget: 4096, Reserve: true, Preempt: true})
 	if err := w.SetFleet("s1", 3); err != nil {
 		t.Fatalf("SetFleet: %v", err)
 	}
@@ -131,7 +142,7 @@ func TestTraceWireFormatGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	if tr.Header.Shard != "s1" || tr.Header.Epoch != 3 || !tr.Header.Reserve || !tr.Header.Preempt || !tr.Header.Elastic {
+	if tr.Header.Shard != "s1" || tr.Header.Epoch != 3 || !tr.Header.Reserve || !tr.Header.Preempt {
 		t.Fatalf("header mangled: %+v", tr.Header)
 	}
 	if len(tr.Events) != 3 || tr.Events[2].Cancel == nil {
