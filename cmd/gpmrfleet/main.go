@@ -1,8 +1,7 @@
 // Command gpmrfleet is the fleet front door: a router that federates
 // many gpmrd shards behind one HTTP API. Tenants are consistent-hashed
 // onto shards (bounded-load variant); shards are health-checked and a
-// lost shard's unfinished jobs are re-admitted onto survivors; queued
-// jobs are stolen away from skewed shards.
+// lost shard's unfinished jobs are re-admitted onto survivors.
 //
 // Live mode fronts running gpmrd daemons:
 //
@@ -24,7 +23,7 @@
 //
 // Causal tracing: every submission is stamped with a trace ID (the
 // fleet tag, unless the submitter set one), the router records its own
-// decisions (route, retry, reroute, failover, steal, shard state
+// decisions (route, retry, reroute, failover, shard state
 // transitions) into a flight recorder saved via -obs, and GET /timeline
 // serves the live stitched fleet timeline — router lanes plus every
 // shard's flight recording. Offline,
@@ -79,7 +78,6 @@ func main() {
 	loadFactor := flag.Float64("load-factor", 0, "bounded-load factor c (0 = default 1.25, negative = plain hashing)")
 	probe := flag.Duration("probe", 500*time.Millisecond, "shard health-check interval")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a shard is down")
-	skew := flag.Int("skew", 0, "queue-depth skew that triggers a rebalance steal (0 = default 4, negative = off)")
 	replayDir := flag.String("replay", "", "replay every shard trace (*.jsonl) in this directory and print the merged report")
 	workers := flag.Int("workers", 0, "replay kernel-execution workers (see gpmrbench -workers)")
 	engineShards := flag.Int("engine-shards", 0, "replay DES engine shards (see gpmrbench -shards)")
@@ -114,7 +112,6 @@ func main() {
 		LoadFactor:    *loadFactor,
 		ProbeInterval: *probe,
 		FailAfter:     *failAfter,
-		SkewThreshold: *skew,
 		Obs:           obs.New(),
 	}
 	if err := live(cfg, *addr, *grace, *obsPath); err != nil {

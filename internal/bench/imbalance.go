@@ -20,7 +20,7 @@ const ImbalanceGPUs = 8
 type ImbalanceRow struct {
 	Policy            string
 	Wall              des.Time
-	WireBytes         int64 // cross-node fabric traffic (Fabric.BytesSent)
+	WireBytes         int64 // cross-node fabric traffic (Trace.WireBytes)
 	LocalBytes        int64 // intra-node (shared-memory) traffic
 	LocalSteals       int
 	RemoteSteals      int
@@ -35,7 +35,7 @@ type ImbalanceRow struct {
 // fullest queue even though an equally full queue sits on their own node,
 // holding both NICs for each shifted chunk; StealLocalFirst keeps those
 // shifts on-node, which this scenario quantifies as lower cross-node
-// BytesSent at equal work.
+// WireBytes at equal work.
 func Imbalance(o Options) ([]ImbalanceRow, error) {
 	o = o.withDefaults()
 	var rows []ImbalanceRow

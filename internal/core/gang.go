@@ -16,16 +16,15 @@ import (
 // kernel still lands on the shared devices, PCIe links, and NICs — so
 // co-resident jobs contend for real hardware in the fabric model.
 //
-// The gang also meters the job's own fabric traffic. The cluster-wide
-// Fabric counters aggregate every tenant; per-job wire accounting has to
-// happen at the boundary where the job hands bytes to the shared fabric.
+// The gang also meters the job's own fabric traffic, at the boundary where
+// the job hands bytes to the shared fabric (which keeps no counters).
 type gang struct {
 	cl      *cluster.Cluster
 	ranks   []int // local rank -> global cluster rank
 	localOf map[int]int
 
 	// Per-job fabric traffic in virtual bytes, counted at send/transfer
-	// time (receive bytes mirror sends, as in Fabric's own accounting).
+	// time (receive bytes mirror sends).
 	wireBytes  int64
 	localBytes int64
 }

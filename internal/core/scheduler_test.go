@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/fabric"
 )
 
 // stealChunk is a fixed-size chunk for direct scheduler tests.
@@ -19,7 +18,7 @@ func (c *stealChunk) VirtBytes() int64 { return c.bytes }
 // node 0; ranks 2,3 on node 1) with queues[r] chunks of chunkBytes
 // pre-assigned to each rank, and minQueue in place of stealMinQueue so
 // the threshold logic can be probed at other values.
-func schedFixture(policy StealPolicy, minQueue int, queues [4]int, chunkBytes int64) (*des.Engine, *fabric.Fabric, *scheduler) {
+func schedFixture(policy StealPolicy, minQueue int, queues [4]int, chunkBytes int64) (*des.Engine, *scheduler) {
 	eng := des.NewEngine()
 	cc := cluster.DefaultConfig(4)
 	cc.GPUsPerNode = 2
@@ -39,7 +38,7 @@ func schedFixture(policy StealPolicy, minQueue int, queues [4]int, chunkBytes in
 	cfg := Config{GPUs: 4, StealPolicy: policy}
 	s := newScheduler(eng, chunks, cfg, g, func(c int) int { return owner[c] })
 	s.minQueue = minQueue
-	return eng, cl.Fabric, s
+	return eng, s
 }
 
 // stealOnce runs one next() call for the thief inside the engine and
@@ -56,7 +55,7 @@ func stealOnce(eng *des.Engine, s *scheduler, thief int) int {
 
 func TestStealGlobalPicksFullestAnywhere(t *testing.T) {
 	// Remote rank 3 is fullest; global ignores the node boundary.
-	eng, _, s := schedFixture(StealGlobal, 2, [4]int{0, 2, 0, 5}, 1<<20)
+	eng, s := schedFixture(StealGlobal, 2, [4]int{0, 2, 0, 5}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("global policy stole from rank %d, want fullest rank 3", v)
 	}
@@ -65,26 +64,26 @@ func TestStealGlobalPicksFullestAnywhere(t *testing.T) {
 func TestStealLocalFirstPrefersSameNode(t *testing.T) {
 	// Same queues as above: local-first must take the smaller same-node
 	// queue (rank 1) over the fuller remote one (rank 3).
-	eng, fab, s := schedFixture(StealLocalFirst, 2, [4]int{0, 2, 0, 5}, 1<<20)
+	eng, s := schedFixture(StealLocalFirst, 2, [4]int{0, 2, 0, 5}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 1 {
 		t.Errorf("local-first stole from rank %d, want same-node rank 1", v)
 	}
-	if fab.BytesSent() != 0 {
-		t.Errorf("same-node steal crossed the fabric: BytesSent=%d", fab.BytesSent())
+	if s.g.wireBytes != 0 {
+		t.Errorf("same-node steal crossed the fabric: wireBytes=%d", s.g.wireBytes)
 	}
-	if fab.LocalBytes() != 1<<20 {
-		t.Errorf("same-node steal charged %d local bytes, want %d", fab.LocalBytes(), 1<<20)
+	if s.g.localBytes != 1<<20 {
+		t.Errorf("same-node steal charged %d local bytes, want %d", s.g.localBytes, 1<<20)
 	}
 }
 
 func TestStealLocalFirstCrossesWhenNodeDry(t *testing.T) {
 	// The thief's whole node (ranks 0,1) is empty: cross the boundary.
-	eng, fab, s := schedFixture(StealLocalFirst, 2, [4]int{0, 0, 0, 5}, 1<<20)
+	eng, s := schedFixture(StealLocalFirst, 2, [4]int{0, 0, 0, 5}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("stole from rank %d, want remote rank 3", v)
 	}
-	if fab.BytesSent() != 1<<20 {
-		t.Errorf("cross-node steal charged %d wire bytes, want %d", fab.BytesSent(), 1<<20)
+	if s.g.wireBytes != 1<<20 {
+		t.Errorf("cross-node steal charged %d wire bytes, want %d", s.g.wireBytes, 1<<20)
 	}
 }
 
@@ -92,7 +91,7 @@ func TestStealThresholdPrefersQualifyingQueue(t *testing.T) {
 	// minQueue 4: rank 1 (3 queued) is below the threshold, rank 3 (4
 	// queued) meets it — the threshold, not raw fullness order within the
 	// fallback, decides.
-	eng, _, s := schedFixture(StealGlobal, 4, [4]int{0, 3, 0, 4}, 1<<20)
+	eng, s := schedFixture(StealGlobal, 4, [4]int{0, 3, 0, 4}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("stole from rank %d, want threshold-qualifying rank 3", v)
 	}
@@ -101,7 +100,7 @@ func TestStealThresholdPrefersQualifyingQueue(t *testing.T) {
 func TestStealFallbackBelowThreshold(t *testing.T) {
 	// No queue meets minQueue 4, but an idle GPU is worse than a small
 	// shift: fall back to a non-empty queue.
-	eng, _, s := schedFixture(StealGlobal, 4, [4]int{0, 0, 0, 1}, 1<<20)
+	eng, s := schedFixture(StealGlobal, 4, [4]int{0, 0, 0, 1}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("stole from rank %d, want fallback rank 3", v)
 	}
@@ -111,7 +110,7 @@ func TestStealFallbackPicksFullest(t *testing.T) {
 	// The below-threshold fallback must still prefer the fullest queue,
 	// not the first non-empty by rank order: robbing rank 1's only chunk
 	// while rank 3 holds three would idle rank 1 on its next pull.
-	eng, _, s := schedFixture(StealGlobal, 4, [4]int{0, 1, 0, 3}, 1<<20)
+	eng, s := schedFixture(StealGlobal, 4, [4]int{0, 1, 0, 3}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("fallback stole from rank %d, want fullest rank 3", v)
 	}
@@ -122,20 +121,20 @@ func TestStealThresholdDefinesNodeDry(t *testing.T) {
 	// rank 3 is well stocked: with minQueue 2 the node counts as dry, so
 	// the thief crosses rather than robbing the straggler its owner will
 	// finish sooner locally.
-	eng, _, s := schedFixture(StealLocalFirst, 2, [4]int{0, 1, 0, 5}, 1<<20)
+	eng, s := schedFixture(StealLocalFirst, 2, [4]int{0, 1, 0, 5}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 3 {
 		t.Errorf("stole from rank %d, want remote rank 3 (local node dry)", v)
 	}
 	// With minQueue 1 the same placement keeps the steal on-node.
-	eng2, _, s2 := schedFixture(StealLocalFirst, 1, [4]int{0, 1, 0, 5}, 1<<20)
+	eng2, s2 := schedFixture(StealLocalFirst, 1, [4]int{0, 1, 0, 5}, 1<<20)
 	if v := stealOnce(eng2, s2, 0); v != 1 {
 		t.Errorf("stole from rank %d, want same-node rank 1 at minQueue 1", v)
 	}
 }
 
 func TestStealExhaustion(t *testing.T) {
-	eng, _, s := schedFixture(StealLocalFirst, 2, [4]int{0, 0, 0, 0}, 1<<20)
-	eng2, _, s2 := schedFixture(StealGlobal, 2, [4]int{0, 0, 0, 0}, 1<<20)
+	eng, s := schedFixture(StealLocalFirst, 2, [4]int{0, 0, 0, 0}, 1<<20)
+	eng2, s2 := schedFixture(StealGlobal, 2, [4]int{0, 0, 0, 0}, 1<<20)
 	for _, tc := range []struct {
 		eng *des.Engine
 		s   *scheduler
@@ -156,7 +155,7 @@ func TestStealExhaustion(t *testing.T) {
 
 func TestStealVictimKeepsPrefix(t *testing.T) {
 	// The victim loses its tail chunk, not the head it will pull next.
-	eng, _, s := schedFixture(StealGlobal, 2, [4]int{0, 3, 0, 0}, 1<<20)
+	eng, s := schedFixture(StealGlobal, 2, [4]int{0, 3, 0, 0}, 1<<20)
 	if v := stealOnce(eng, s, 0); v != 1 {
 		t.Fatalf("stole from rank %d, want 1", v)
 	}

@@ -51,13 +51,6 @@ type Fabric struct {
 	inbox  []*des.Queue
 	nicIn  []*des.Resource
 	nicOut []*des.Resource
-
-	// Traffic counters in virtual bytes, kept per SENDER node so that
-	// concurrent tenants on different engine shards never write the same
-	// word: a node's NICs belong to one gang at a time, and that gang's
-	// processes all live on one shard. Reports sum them.
-	bytesSent  []int64
-	localBytes []int64
 }
 
 // New builds a fabric for len(nodeOf) ranks, where nodeOf[r] is the node
@@ -70,13 +63,11 @@ func New(eng *des.Engine, props Props, nodeOf []int) *Fabric {
 		}
 	}
 	f := &Fabric{
-		props:      props,
-		nodeOf:     append([]int(nil), nodeOf...),
-		inbox:      make([]*des.Queue, len(nodeOf)),
-		nicIn:      make([]*des.Resource, maxNode+1),
-		nicOut:     make([]*des.Resource, maxNode+1),
-		bytesSent:  make([]int64, maxNode+1),
-		localBytes: make([]int64, maxNode+1),
+		props:  props,
+		nodeOf: append([]int(nil), nodeOf...),
+		inbox:  make([]*des.Queue, len(nodeOf)),
+		nicIn:  make([]*des.Resource, maxNode+1),
+		nicOut: make([]*des.Resource, maxNode+1),
 	}
 	for r := range f.inbox {
 		f.inbox[r] = des.NewQueue(eng, fmt.Sprintf("inbox%d", r))
@@ -90,25 +81,6 @@ func New(eng *des.Engine, props Props, nodeOf []int) *Fabric {
 
 // Props returns the fabric's configuration.
 func (f *Fabric) Props() Props { return f.props }
-
-// BytesSent sums cross-node traffic in virtual bytes over all nodes.
-// Call it from a quiesced simulation (reports), not mid-run from a shard.
-func (f *Fabric) BytesSent() int64 {
-	var sum int64
-	for _, b := range f.bytesSent {
-		sum += b
-	}
-	return sum
-}
-
-// LocalBytes sums intra-node (shared-memory) traffic in virtual bytes.
-func (f *Fabric) LocalBytes() int64 {
-	var sum int64
-	for _, b := range f.localBytes {
-		sum += b
-	}
-	return sum
-}
 
 // Ranks returns the number of ranks.
 func (f *Fabric) Ranks() int { return len(f.nodeOf) }
@@ -127,12 +99,10 @@ func (f *Fabric) wireTime(bytes int64) des.Time {
 func (f *Fabric) Send(p *des.Proc, from, to int, tag string, virtBytes int64, payload any) {
 	msg := Message{From: from, To: to, Tag: tag, VirtBytes: virtBytes, Payload: payload}
 	if f.nodeOf[from] == f.nodeOf[to] {
-		f.localBytes[f.nodeOf[from]] += virtBytes
 		p.Sleep(des.FromSeconds(float64(virtBytes) / f.props.HostMemBW))
 		f.inbox[to].Put(msg)
 		return
 	}
-	f.bytesSent[f.nodeOf[from]] += virtBytes
 	dur := f.wireTime(virtBytes)
 	out := f.nicOut[f.nodeOf[from]]
 	out.Acquire(p, 1)
@@ -180,11 +150,9 @@ func (f *Fabric) Pending(r int) int { return f.inbox[r].Len() }
 func (f *Fabric) Transfer(p *des.Proc, from, to int, virtBytes int64) des.Time {
 	start := p.Now()
 	if f.nodeOf[from] == f.nodeOf[to] {
-		f.localBytes[f.nodeOf[from]] += virtBytes
 		p.Sleep(des.FromSeconds(float64(virtBytes) / f.props.HostMemBW))
 		return p.Now() - start
 	}
-	f.bytesSent[f.nodeOf[from]] += virtBytes
 	dur := f.wireTime(virtBytes)
 	out, in := f.nicOut[f.nodeOf[from]], f.nicIn[f.nodeOf[to]]
 	out.Acquire(p, 1)

@@ -32,9 +32,6 @@ func TestCrossNodeSendDelivers(t *testing.T) {
 	if when < min {
 		t.Errorf("delivered at %v, faster than wire time %v", when, min)
 	}
-	if f.BytesSent() != 32<<20 {
-		t.Errorf("BytesSent=%d", f.BytesSent())
-	}
 }
 
 func TestIntraNodeSendBypassesNIC(t *testing.T) {
@@ -52,9 +49,6 @@ func TestIntraNodeSendBypassesNIC(t *testing.T) {
 	want := des.FromSeconds(float64(32<<20) / f.props.HostMemBW)
 	if when != want {
 		t.Errorf("intra-node delivery at %v, want %v", when, want)
-	}
-	if f.BytesSent() != 0 || f.LocalBytes() != 32<<20 {
-		t.Errorf("BytesSent=%d LocalBytes=%d", f.BytesSent(), f.LocalBytes())
 	}
 }
 

@@ -101,7 +101,7 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := h.rt.Submit(req)
-	if st.Err != "" && st.Code == http.StatusServiceUnavailable {
+	if st.Err != "" {
 		h.writeJSON(w, st.Code, map[string]string{"error": st.Err})
 		return
 	}
@@ -285,7 +285,6 @@ func writeMetrics(w io.Writer, rt *Router) {
 	counter("gpmr_fleet_reroutes_total", "Submissions moved to another ring candidate.", s.Reroutes)
 	counter("gpmr_fleet_failovers_total", "Jobs re-admitted after a shard loss.", s.Failovers)
 	counter("gpmr_fleet_lost_total", "Jobs no survivor would take.", s.Lost)
-	counter("gpmr_fleet_steals_total", "Queued jobs rebalanced off a deep shard.", s.Steals)
 	counter("gpmr_fleet_transitions_total", "Ring membership changes.", s.Transitions)
 	counter("gpmr_fleet_probe_failures_total", "Failed interactions (probes or submissions) with non-down shards.", s.ProbeFails)
 	fmt.Fprintf(w, "# HELP gpmr_fleet_ring_epoch Current ring epoch.\n# TYPE gpmr_fleet_ring_epoch gauge\ngpmr_fleet_ring_epoch %d\n", st.Epoch)

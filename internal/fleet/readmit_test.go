@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,20 +14,18 @@ import (
 	"repro/internal/serve"
 )
 
-// These tests drive the probe loop's steps (probeAll, failover,
-// rebalance, recover) by hand on a router that was never Started, so no
-// outcome depends on the wall clock or on when a refresh tick lands.
+// These tests drive the probe loop's steps (probeAll, failover, refresh)
+// by hand on a router that was never Started, so no outcome depends on the
+// wall clock or on when a refresh tick lands.
 
 // stubShard is a scripted shard. It decodes every POST /jobs exactly as a
-// real shard does, records the submission, and answers 202 "queued" (or,
-// once told to refuse, a terminal 429); DELETE always succeeds. A real
-// shard's jobs finish ahead of the wall clock, so "still queued" — the
-// state a steal needs — can only be held still by a stub.
+// real shard does and answers 202 "queued" (or, once told to refuse, a
+// terminal 429); GET /jobs answers with a scripted job table.
 type stubShard struct {
 	hs *httptest.Server
 
 	mu     sync.Mutex
-	posts  []serve.Request // decoded submissions, in arrival order
+	posts  int // decoded submissions so far
 	refuse bool
 	retry  int             // the drain prediction a refusal carries (JobInfo.RetryAfter)
 	jobs   []serve.JobInfo // the GET /jobs answer
@@ -46,16 +43,15 @@ func newStubShard(t *testing.T) *stubShard {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.posts = append(s.posts, req)
+		s.posts++
 		if s.refuse {
 			w.WriteHeader(http.StatusTooManyRequests)
 			json.NewEncoder(w).Encode(serve.JobInfo{Tag: req.Tag, Status: "rejected", Reason: "quota: tenant at its cap", RetryAfter: s.retry})
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(serve.JobInfo{ID: len(s.posts) - 1, Tag: req.Tag, Status: "queued"})
+		json.NewEncoder(w).Encode(serve.JobInfo{ID: s.posts - 1, Tag: req.Tag, Status: "queued"})
 	})
-	mux.HandleFunc("DELETE /jobs/{id}", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, `{"cancelled":true}`) })
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -66,12 +62,6 @@ func newStubShard(t *testing.T) *stubShard {
 	return s
 }
 
-func (s *stubShard) submissions() []serve.Request {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]serve.Request(nil), s.posts...)
-}
-
 // sloRequest is a submission using the SLO fields the fleet used to drop.
 func sloRequest(seed int) serve.Request {
 	return serve.Request{Tenant: "ana", Kind: "sio",
@@ -79,40 +69,9 @@ func sloRequest(seed int) serve.Request {
 		MinGang: 2, Class: "interactive", Deadline: 10 * des.Second}
 }
 
-// skewedPair builds a two-shard router over stubs and queues n SLO jobs
-// of one tenant — plain hashing, so all on one shard — returning the deep
-// and the shallow stub with their ids.
-func skewedPair(t *testing.T, n int) (rt *Router, deep, shallow *stubShard, deepID, shallowID string) {
-	t.Helper()
-	stubs := map[string]*stubShard{"s0": newStubShard(t), "s1": newStubShard(t)}
-	rt, err := New(Config{
-		Shards:        []Shard{{ID: "s0", URL: stubs["s0"].hs.URL}, {ID: "s1", URL: stubs["s1"].hs.URL}},
-		LoadFactor:    -1,
-		SkewThreshold: n,
-		RetryBackoff:  time.Millisecond,
-		Logf:          quiet,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		if st := rt.Submit(sloRequest(i + 1)); st.Code != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d (%s)", i, st.Code, st.Err)
-		}
-	}
-	deepID, shallowID = "s0", "s1"
-	if rt.Jobs()[0].Shard == "s1" {
-		deepID, shallowID = "s1", "s0"
-	}
-	if got := len(stubs[deepID].submissions()); got != n {
-		t.Fatalf("deep shard %s holds %d of the %d jobs", deepID, got, n)
-	}
-	return rt, stubs[deepID], stubs[shallowID], deepID, shallowID
-}
-
 // TestFailoverKeepsSLOFields: a classed, deadlined job that is re-admitted
-// — its shard died, or a rebalance stole it — arrives on its new shard
-// with the class and deadline its submitter sent. (The fleet record used
+// because its shard died arrives on its new shard with the class and
+// deadline its submitter sent. (The fleet record used
 // to keep a hand-copied subset of the submission; PR 9's SLO fields never
 // made it into the copy, so such a job came back as plain batch work.)
 func TestFailoverKeepsSLOFields(t *testing.T) {
@@ -172,87 +131,32 @@ func TestFailoverKeepsSLOFields(t *testing.T) {
 			}
 		}
 	})
-
-	t.Run("steal", func(t *testing.T) {
-		const n = 4
-		rt, deep, shallow, _, shallowID := skewedPair(t, n)
-		rt.rebalance()
-		if st := rt.Stats(); st.Steals != 1 || st.Lost != 0 {
-			t.Fatalf("steals %d lost %d, want 1 and 0", st.Steals, st.Lost)
-		}
-		got := shallow.submissions()
-		if len(got) != 1 {
-			t.Fatalf("shallow shard saw %d submissions, want the one stolen job", len(got))
-		}
-		// The victim is the newest queued job; it must arrive exactly as it
-		// was first sent, SLO fields, tag and trace id included.
-		if want := deep.submissions()[n-1]; !reflect.DeepEqual(got[0], want) {
-			t.Errorf("stolen job re-admitted as %+v, want %+v", got[0], want)
-		}
-		if got[0].Class != "interactive" || got[0].Deadline != 10*des.Second {
-			t.Errorf("stolen job re-admitted with class=%q deadline=%v", got[0].Class, got[0].Deadline)
-		}
-		if j := rt.Jobs()[n-1]; j.Shard != shallowID || j.State != "queued" {
-			t.Errorf("stolen job's record: %+v, want queued on %s", j, shallowID)
-		}
-	})
 }
 
-// TestRefusedStealKeepsTheJob: rebalance withdraws the victim from the
-// deep shard before offering it to the shallow one, so a steal target that
-// refuses (the tenant is at its quota there) must not cost a healthy job:
-// it goes back through normal routing — here, home to the shard it came
-// from — and is lost only if that refuses too.
-func TestRefusedStealKeepsTheJob(t *testing.T) {
-	const n = 4
-	rt, deep, shallow, deepID, _ := skewedPair(t, n)
-	shallow.mu.Lock()
-	shallow.refuse = true
-	shallow.mu.Unlock()
-
-	rt.rebalance()
-	st := rt.Stats()
-	if st.Lost != 0 {
-		t.Fatalf("a refused steal lost %d job(s)", st.Lost)
-	}
-	if st.Steals != 0 {
-		t.Errorf("steals = %d: a job that bounced back home was not rebalanced", st.Steals)
-	}
-	if got := len(shallow.submissions()); got != 1 {
-		t.Fatalf("shallow shard saw %d submissions, want the one refused offer", got)
-	}
-	victim := rt.Jobs()[n-1]
-	if victim.State != "queued" || victim.Shard != deepID || victim.Reason != "" {
-		t.Fatalf("victim after the refused steal: %+v, want queued on %s", victim, deepID)
-	}
-	back := deep.submissions()
-	if len(back) != n+1 || !reflect.DeepEqual(back[n], back[n-1]) {
-		t.Fatalf("deep shard saw %d submissions; the victim must come back unchanged as the %dth", len(back), n+1)
-	}
-}
-
-// TestRecoverAdoptsSLOFields: a restarted router adopts the shards' tagged
-// jobs; what a shard's record keeps of the submission (class, deadline,
-// weight, MinGang, downgrade, the elastic opt-in) is adopted with it, so
-// a later failover or steal of an adopted job re-admits it as submitted.
+// TestRecoverAdoptsSLOFields: a restarted router's refresh adopts the
+// shards' tagged jobs; what a shard's record keeps of the submission
+// (class, deadline, weight, MinGang, downgrade, the elastic opt-in) is
+// adopted with it, so a later failover of an adopted job re-admits it as
+// submitted, and a job adopted already done keeps its digest.
 func TestRecoverAdoptsSLOFields(t *testing.T) {
 	s := newStubShard(t)
 	s.jobs = []serve.JobInfo{{ID: 3, Tenant: "ana", Kind: "wo", Tag: "f9", TraceID: "f9",
-		Status: "queued", Class: "interactive", Deadline: 10 * des.Second}}
+		Status: "done", Digest: 0xabc, HasDigest: true, Class: "interactive", Deadline: 10 * des.Second}}
 	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: s.hs.URL}}, Logf: quiet})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rt.recover()
+	rt.refresh()
 	jobs := rt.Jobs()
 	if len(jobs) != 1 {
 		t.Fatalf("adopted %d jobs, want 1", len(jobs))
 	}
-	if j := jobs[0]; j.Tag != "f9" || j.ShardJob != 3 || j.Class != "interactive" || j.Deadline != 10*des.Second {
+	if j := jobs[0]; j.Tag != "f9" || j.ShardJob != 3 || j.Class != "interactive" || j.Deadline != 10*des.Second ||
+		j.State != "done" || j.Digest != "0000000000000abc" {
 		t.Fatalf("adopted record: %+v", j)
 	}
-	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Job.Tag != "f10" {
-		t.Fatalf("fresh tag %q collides with the adopted range, want f10", st.Job.Tag)
+	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Job.Tag == "" || st.Job.Tag == "f9" {
+		t.Fatalf("fresh tag %q collides with the adopted f9", st.Job.Tag)
 	}
 
 	// Through a real shard's record, every submission field comes back.
@@ -270,7 +174,7 @@ func TestRecoverAdoptsSLOFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rt.recover()
+	rt.refresh()
 	if jobs := rt.Jobs(); len(jobs) != 1 || !reflect.DeepEqual(jobs[0].Request, sub) {
 		t.Fatalf("adopted %+v, want one job re-admitted as submitted: %+v", jobs, sub)
 	}

@@ -2,13 +2,13 @@
 // door: a router tier that consistent-hashes tenants onto shards
 // (bounded-load variant, so a hot tenant cannot melt one shard),
 // health-checks each shard, retries and fails over proxied submissions,
-// re-admits a lost shard's unfinished jobs onto survivors, and steals
-// queued jobs away from a shard whose queue depth is skewed — chunk
-// stealing promoted to the cluster-of-clusters level. Each shard keeps
-// its own byte-replayable arrival trace, stamped with a fleet header
-// (shard id, ring epoch) by the registration handshake, so a whole
-// multi-shard run replays deterministically: gpmrfleet -replay replays
-// every shard trace and merges the reports. See DESIGN.md, "Fleet".
+// and re-admits a lost shard's unfinished jobs onto survivors. Bounded-load
+// routing is the fleet's one load leveller; inside a job, core still
+// balances chunks between its GPUs. Each shard keeps its own
+// byte-replayable arrival trace, stamped with a fleet header (shard id,
+// ring epoch) by the registration handshake, so a whole multi-shard run
+// replays deterministically: gpmrfleet -replay replays every shard trace
+// and merges the reports. See DESIGN.md, "Fleet".
 package fleet
 
 import (

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,10 +35,9 @@ type Config struct {
 	LoadFactor float64
 
 	// ProbeInterval is the health-check cadence (default 500ms); each
-	// probe times out after ProbeTimeout (default 2s). FailAfter
-	// consecutive failures mark a shard down (default 3).
+	// probe is bounded by probeTimeout. FailAfter consecutive failures
+	// mark a shard down (default 3).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	FailAfter     int
 
 	// SubmitRetries is how many times one proxied submission is retried
@@ -55,16 +53,11 @@ type Config struct {
 	// submission longer than this per try (default 2s).
 	RetryAfterCap time.Duration
 
-	// SkewThreshold triggers queue rebalancing: when the deepest shard
-	// queue exceeds the shallowest by at least this many jobs, one queued
-	// job is stolen per probe cycle. 0 defaults to 4; negative disables.
-	SkewThreshold int
-
 	// Logf receives router diagnostics. Defaults to log.Printf.
 	Logf func(format string, args ...any)
 
 	// Obs, when set, records the router's own decisions — routes, retries,
-	// reroutes, failovers, steals, and shard state transitions — as obs
+	// reroutes, failovers, and shard state transitions — as obs
 	// events (streams "fleet/job/<tag>" and "fleet/shard/<id>", wall-clock
 	// nanoseconds since router start). The timeline stitcher merges them
 	// with the shards' virtual-time flight recordings into one causal
@@ -73,10 +66,12 @@ type Config struct {
 }
 
 // submitTimeout bounds one proxied request on the submission and read
-// paths; drainTimeout bounds one shard's drain handshake, which waits for
+// paths; probeTimeout bounds one probe, job-table fetch, registration or
+// cancel; drainTimeout bounds one shard's drain handshake, which waits for
 // every admitted job to finish.
 const (
 	submitTimeout = 15 * time.Second
+	probeTimeout  = 2 * time.Second
 	drainTimeout  = 120 * time.Second
 )
 
@@ -86,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
@@ -101,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfterCap <= 0 {
 		c.RetryAfterCap = 2 * time.Second
-	}
-	if c.SkewThreshold == 0 {
-		c.SkewThreshold = 4
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -128,8 +117,8 @@ type shardRT struct {
 }
 
 // FleetJob is the router's record of one fleet-level submission: the
-// submission itself, carried whole so a failover or steal re-admits
-// exactly what the submitter sent (Tag is the correlation key shards
+// submission itself, carried whole so a failover re-admits exactly what
+// the submitter sent (Tag is the correlation key shards
 // echo; TraceID defaults to it), plus where it currently lives and the
 // router's last known state for it.
 type FleetJob struct {
@@ -140,7 +129,7 @@ type FleetJob struct {
 	ShardJob int    `json:"shardJob"`         // id on the owning shard
 	State    string `json:"state"`            // router's last known state
 	Reason   string `json:"reason,omitempty"` // terminal reason, if any
-	Attempts int    `json:"attempts"`         // submissions incl. failovers and steals
+	Attempts int    `json:"attempts"`         // shard placements: the first, then one per failover
 	Digest   string `json:"digest,omitempty"` // canonical output digest once done
 }
 
@@ -217,12 +206,12 @@ func New(cfg Config) (*Router, error) {
 
 // Start registers the router with every shard (stamping the fleet trace
 // headers), adopts any tagged jobs the shards already hold (router
-// restart), and begins health probing.
+// restart) with one refresh, and begins health probing.
 func (rt *Router) Start() {
 	for _, id := range rt.order {
 		rt.register(id)
 	}
-	rt.recover()
+	rt.refresh()
 	rt.wg.Add(1)
 	go rt.probeLoop()
 }
@@ -253,13 +242,6 @@ func (rt *Router) WriteObs(w io.Writer) error {
 	return rt.obs.WriteJSONL(w)
 }
 
-// Epoch returns the current ring epoch.
-func (rt *Router) Epoch() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.epoch
-}
-
 // register performs the registration handshake with one shard.
 func (rt *Router) register(id string) {
 	rt.mu.Lock()
@@ -268,7 +250,7 @@ func (rt *Router) register(id string) {
 	epoch := rt.epoch
 	rt.mu.Unlock()
 	body, _ := json.Marshal(serve.FleetRegistration{Shard: id, Epoch: epoch})
-	resp, err := rt.do(http.MethodPost, url+"/fleet/register", body, rt.cfg.ProbeTimeout)
+	resp, err := rt.do(http.MethodPost, url+"/fleet/register", body, probeTimeout)
 	if err != nil {
 		rt.cfg.Logf("fleet: registering shard %s: %v", id, err)
 		return
@@ -279,63 +261,33 @@ func (rt *Router) register(id string) {
 	}
 }
 
-// recover rebuilds the fleet job table from the shards' own job tables,
-// matching on tags — the restartable-router seam.
-func (rt *Router) recover() {
-	for _, id := range rt.order {
-		rt.mu.Lock()
-		url := rt.shards[id].URL
-		rt.mu.Unlock()
-		infos, err := rt.listJobs(url)
-		if err != nil {
-			continue
-		}
-		rt.mu.Lock()
-		for _, info := range infos {
-			if info.Tag == "" || rt.byTag[info.Tag] != nil {
-				continue
-			}
-			// Adoption rebuilds the submission from the shard's record —
-			// the one place a Request is assembled from another type.
-			job := &FleetJob{
-				ID: len(rt.jobs),
-				Request: serve.Request{Tenant: info.Tenant, Kind: info.Kind, Params: info.Params,
-					Weight: info.Weight, MinGang: info.MinGang, Class: info.Class, Deadline: info.Deadline,
-					Downgrade: info.Downgrade, Elastic: info.Elastic, Tag: info.Tag, TraceID: info.TraceID},
-				Shard: id, ShardJob: info.ID, State: info.Status, Reason: info.Reason, Attempts: 1,
-			}
-			rt.jobs = append(rt.jobs, job)
-			rt.byTag[info.Tag] = job
-			// Keep fresh tags clear of adopted ones ("f<n>").
-			if n, ok := strings.CutPrefix(info.Tag, "f"); ok {
-				if v, err := strconv.Atoi(n); err == nil && v >= rt.nextTag {
-					rt.nextTag = v + 1
-				}
-			}
-		}
-		rt.mu.Unlock()
-	}
-}
-
 // SubmitStatus is a routed submission's outcome, mirroring the HTTP
 // status the front door surfaces.
 type SubmitStatus struct {
-	Code  int           // 202, 400, 429, or 503
+	Code  int           // 202, 400, 409, 429, or 503
 	Job   FleetJob      // the fleet record (zero Job.Tag when nothing was recorded)
 	Shard serve.JobInfo // the owning shard's record, when a shard answered
-	Err   string        // router-level error, when Code is 503
+	Err   string        // router-level error, when Code is 409 or 503
 }
 
 // Submit routes one submission onto the fleet: bounded-load consistent
 // hash on the tenant, retry with backoff against the picked shard, and
-// failover to the next ring candidate when a shard cannot answer.
+// failover to the next ring candidate when a shard cannot answer. Tags
+// key the fleet table, so a submitter-chosen tag already in it is refused
+// with 409.
 func (rt *Router) Submit(req serve.Request) SubmitStatus {
 	if rt.draining.Load() {
 		return SubmitStatus{Code: http.StatusServiceUnavailable, Err: "fleet: router is draining"}
 	}
 	rt.mu.Lock()
+	if req.Tag != "" && rt.byTag[req.Tag] != nil {
+		rt.mu.Unlock()
+		return SubmitStatus{Code: http.StatusConflict, Err: fmt.Sprintf("fleet: tag %q is already in use", req.Tag)}
+	}
 	rt.stats.Submitted++
-	if req.Tag == "" {
+	// A fresh tag skips any "f<n>" that an adopted job or a submitter
+	// already holds.
+	for req.Tag == "" || rt.byTag[req.Tag] != nil {
 		req.Tag = fmt.Sprintf("f%d", rt.nextTag)
 		rt.nextTag++
 	}
@@ -512,8 +464,8 @@ func (rt *Router) retryAfterHint(resp *http.Response) time.Duration {
 	return d
 }
 
-// probeLoop is the router's heartbeat: health-check every shard, scrape
-// job states, fail over lost shards, rebalance skewed queues.
+// probeLoop is the router's heartbeat: health-check every shard, sync the
+// job table, fail over lost shards.
 func (rt *Router) probeLoop() {
 	defer rt.wg.Done()
 	ticker := time.NewTicker(rt.cfg.ProbeInterval)
@@ -528,7 +480,6 @@ func (rt *Router) probeLoop() {
 			for _, id := range dead {
 				rt.failover(id)
 			}
-			rt.rebalance()
 		}
 	}
 }
@@ -543,7 +494,7 @@ func (rt *Router) probeAll() (newlyDead []string) {
 		s := rt.shards[id]
 		url := s.URL
 		rt.mu.Unlock()
-		resp, err := rt.do(http.MethodGet, url+"/healthz", nil, rt.cfg.ProbeTimeout)
+		resp, err := rt.do(http.MethodGet, url+"/healthz", nil, probeTimeout)
 		switch {
 		case err == nil && resp.StatusCode == http.StatusOK:
 			drainBody(resp)
@@ -625,7 +576,7 @@ func (rt *Router) markDraining(id string) {
 
 // listJobs fetches one shard's job table.
 func (rt *Router) listJobs(url string) ([]serve.JobInfo, error) {
-	resp, err := rt.do(http.MethodGet, url+"/jobs", nil, rt.cfg.ProbeTimeout)
+	resp, err := rt.do(http.MethodGet, url+"/jobs", nil, probeTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -640,9 +591,11 @@ func (rt *Router) listJobs(url string) ([]serve.JobInfo, error) {
 	return infos, nil
 }
 
-// refresh pulls job states from every reachable shard into the fleet
-// table (matching on tags), so failover and rebalancing act on fresh
-// knowledge of what is queued where.
+// refresh pulls every reachable shard's job table into the fleet table,
+// matching on tags — the router's one sync. A tag the router has never
+// seen is adopted: a restarted router rebuilds its table this way. A
+// known tag updates its record only from the shard and shard job id that
+// own it, so a copy left behind on another shard changes nothing.
 func (rt *Router) refresh() {
 	rt.mu.Lock()
 	targets := make(map[string]string)
@@ -664,6 +617,19 @@ func (rt *Router) refresh() {
 		rt.mu.Lock()
 		for _, info := range infos {
 			job := rt.byTag[info.Tag]
+			if job == nil && info.Tag != "" {
+				// Adoption rebuilds the submission from the shard's record —
+				// the one place a Request is assembled from another type.
+				job = &FleetJob{
+					ID: len(rt.jobs),
+					Request: serve.Request{Tenant: info.Tenant, Kind: info.Kind, Params: info.Params,
+						Weight: info.Weight, MinGang: info.MinGang, Class: info.Class, Deadline: info.Deadline,
+						Downgrade: info.Downgrade, Elastic: info.Elastic, Tag: info.Tag, TraceID: info.TraceID},
+					Shard: id, ShardJob: info.ID, Attempts: 1,
+				}
+				rt.jobs = append(rt.jobs, job)
+				rt.byTag[info.Tag] = job
+			}
 			if job == nil || job.Shard != id || job.ShardJob != info.ID {
 				continue
 			}
@@ -695,33 +661,18 @@ func (rt *Router) failover(dead string) {
 	}
 	rt.cfg.Logf("fleet: shard %s lost with %d unfinished jobs — re-admitting", dead, len(orphans))
 	for _, j := range orphans {
-		rt.readmit(j, dead, "")
+		rt.readmit(j, dead)
 	}
 }
 
-// readmit puts a job the fleet already holds back onto a shard and
-// settles its record — the one re-admission path. A failover (first == "")
-// routes around the dead shard from. A steal has already withdrawn the
-// job from healthy shard from's queue and offers it to the shallow shard
-// first; a target that flinches (tenant at its quota there, draining,
-// unreachable) sends it through normal routing around that target, where
-// its old shard may simply take it back. Either way the submission is
-// resent whole, and the outcomes are Submit's three: accepted, refused
-// by the shard that answered, or unroutable — the last two end the job
-// failed and count it lost.
-func (rt *Router) readmit(j *FleetJob, from, first string) {
-	event, moved, why, avoid := "failover", &rt.stats.Failovers, "shard "+from+" lost", from
-	var info serve.JobInfo
-	var code int
-	var err error
-	to := first
-	if first != "" {
-		event, moved, why, avoid = "steal", &rt.stats.Steals, "rebalanced off shard "+from, first
-		info, code, err = rt.postJob(first, j.Request)
-	}
-	if first == "" || err != nil || code != http.StatusAccepted {
-		info, code, to, err = rt.route(j.Request, map[string]bool{avoid: true})
-	}
+// readmit puts a dead shard's job back onto the fleet, routing around
+// shard from, and settles its record. The submission is resent whole, and
+// the outcomes are Submit's three: accepted, refused by the shard that
+// answered, or unroutable — the last two end the job failed and count it
+// lost.
+func (rt *Router) readmit(j *FleetJob, from string) {
+	why := "shard " + from + " lost"
+	info, code, to, err := rt.route(j.Request, map[string]bool{from: true})
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	switch {
@@ -734,11 +685,9 @@ func (rt *Router) readmit(j *FleetJob, from, first string) {
 		j.State = info.Status
 		j.Reason = ""
 		j.Attempts++
-		if to != from { // a refused steal that routing sent back home moved nothing
-			*moved++
-		}
+		rt.stats.Failovers++
 		rt.shards[to].routed++
-		rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), event, obs.A("from", from), obs.A("to", to))
+		rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "failover", obs.A("from", from), obs.A("to", to))
 		return
 	default:
 		// The shard that answered shed it: an explicit terminal answer.
@@ -747,89 +696,6 @@ func (rt *Router) readmit(j *FleetJob, from, first string) {
 	}
 	rt.stats.Lost++
 	rt.obs.Emit(rt.clockNs(), obs.CatSim, jobStream(j.Tag), "lost", obs.A("from", from))
-}
-
-// rebalance steals one queued job per cycle from the deepest shard
-// queue to the shallowest when the skew crosses the threshold — the
-// scheduler's chunk stealing, promoted to the cluster-of-clusters.
-func (rt *Router) rebalance() {
-	if rt.cfg.SkewThreshold < 0 {
-		return
-	}
-	rt.mu.Lock()
-	depth := make(map[string]int)
-	for id, s := range rt.shards {
-		if s.state == shardUp {
-			depth[id] = 0
-		}
-	}
-	if len(depth) < 2 {
-		rt.mu.Unlock()
-		return
-	}
-	for _, j := range rt.jobs {
-		if _, ok := depth[j.Shard]; ok && j.State == "queued" {
-			depth[j.Shard]++
-		}
-	}
-	deep, shallow := deepest(depth), shallowest(depth)
-	if deep == "" || shallow == "" || depth[deep]-depth[shallow] < rt.cfg.SkewThreshold {
-		rt.mu.Unlock()
-		return
-	}
-	var victim *FleetJob
-	// Steal the newest queued job on the deep shard: it has waited the
-	// least, so moving it is the cheapest fairness-wise.
-	for i := len(rt.jobs) - 1; i >= 0; i-- {
-		if j := rt.jobs[i]; j.Shard == deep && j.State == "queued" {
-			victim = j
-			break
-		}
-	}
-	if victim == nil {
-		rt.mu.Unlock()
-		return
-	}
-	deepURL := rt.shards[deep].URL
-	shardJob := victim.ShardJob
-	tag := victim.Tag
-	rt.mu.Unlock()
-
-	// Cancel on the deep shard; a 409 means it started running — no steal.
-	resp, err := rt.do(http.MethodDelete, fmt.Sprintf("%s/jobs/%d", deepURL, shardJob), nil, rt.cfg.ProbeTimeout)
-	if err != nil {
-		rt.noteFailure(deep, err)
-		return
-	}
-	code := resp.StatusCode
-	drainBody(resp)
-	if code != http.StatusOK {
-		return
-	}
-	rt.cfg.Logf("fleet: stealing job %s from %s (depth %d) for %s (depth %d)",
-		tag, deep, depth[deep], shallow, depth[shallow])
-	rt.readmit(victim, deep, shallow)
-}
-
-// deepest / shallowest pick map extremes deterministically (ties by id).
-func deepest(depth map[string]int) string {
-	best, bestN := "", -1
-	for id, n := range depth {
-		if n > bestN || (n == bestN && (best == "" || id < best)) {
-			best, bestN = id, n
-		}
-	}
-	return best
-}
-
-func shallowest(depth map[string]int) string {
-	best, bestN := "", -1
-	for id, n := range depth {
-		if bestN < 0 || n < bestN || (n == bestN && id < best) {
-			best, bestN = id, n
-		}
-	}
-	return best
 }
 
 // Jobs snapshots the fleet job table.
@@ -864,7 +730,6 @@ type Stats struct {
 	Reroutes    int64 `json:"reroutes"`    // submissions moved to another ring candidate
 	Failovers   int64 `json:"failovers"`   // jobs re-admitted after a shard loss
 	Lost        int64 `json:"lost"`        // jobs no survivor would take
-	Steals      int64 `json:"steals"`      // queued jobs rebalanced off a deep shard
 	Transitions int64 `json:"transitions"` // ring membership changes
 	ProbeFails  int64 `json:"probeFails"`  // failed interactions with non-down shards
 }
@@ -919,22 +784,32 @@ func (rt *Router) Status() RingStatus {
 	return st
 }
 
+// jobURL resolves a fleet job to its owning shard's URL for path suffix:
+// 404 for an unknown job, 409 (naming its state and reason) for one that
+// was never placed, 502 when its shard is down.
+func (rt *Router) jobURL(fleetID int, suffix string) (*FleetJob, string, int, error) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if fleetID < 0 || fleetID >= len(rt.jobs) {
+		return nil, "", http.StatusNotFound, fmt.Errorf("fleet: no job %d", fleetID)
+	}
+	j := rt.jobs[fleetID]
+	if j.Shard == "" {
+		return nil, "", http.StatusConflict, fmt.Errorf("fleet: job %d was never placed on a shard (state %s: %s)", fleetID, j.State, j.Reason)
+	}
+	if s := rt.shards[j.Shard]; s.state != shardDown {
+		return j, fmt.Sprintf("%s/jobs/%d%s", s.URL, j.ShardJob, suffix), 0, nil
+	}
+	return nil, "", http.StatusBadGateway, fmt.Errorf("fleet: job %d's shard %s is down", fleetID, j.Shard)
+}
+
 // Proxy forwards a GET to the shard owning a fleet job (output,
 // timeline, raw record), streaming the shard's answer through.
 func (rt *Router) Proxy(w io.Writer, fleetID int, suffix string) (int, string, error) {
-	rt.mu.Lock()
-	if fleetID < 0 || fleetID >= len(rt.jobs) {
-		rt.mu.Unlock()
-		return http.StatusNotFound, "", fmt.Errorf("fleet: no job %d", fleetID)
+	_, url, code, err := rt.jobURL(fleetID, suffix)
+	if err != nil {
+		return code, "", err
 	}
-	j := rt.jobs[fleetID]
-	s := rt.shards[j.Shard]
-	if s == nil || s.state == shardDown {
-		rt.mu.Unlock()
-		return http.StatusBadGateway, "", fmt.Errorf("fleet: job %d's shard %s is down", fleetID, j.Shard)
-	}
-	url := fmt.Sprintf("%s/jobs/%d%s", s.URL, j.ShardJob, suffix)
-	rt.mu.Unlock()
 	resp, err := rt.do(http.MethodGet, url, nil, submitTimeout)
 	if err != nil {
 		return http.StatusBadGateway, "", err
@@ -948,24 +823,15 @@ func (rt *Router) Proxy(w io.Writer, fleetID int, suffix string) (int, string, e
 
 // Cancel withdraws a queued fleet job from its shard.
 func (rt *Router) Cancel(fleetID int) (int, error) {
-	rt.mu.Lock()
-	if fleetID < 0 || fleetID >= len(rt.jobs) {
-		rt.mu.Unlock()
-		return http.StatusNotFound, fmt.Errorf("fleet: no job %d", fleetID)
+	j, url, code, err := rt.jobURL(fleetID, "")
+	if err != nil {
+		return code, err
 	}
-	j := rt.jobs[fleetID]
-	s := rt.shards[j.Shard]
-	if s == nil || s.state == shardDown {
-		rt.mu.Unlock()
-		return http.StatusBadGateway, fmt.Errorf("fleet: job %d's shard %s is down", fleetID, j.Shard)
-	}
-	url := fmt.Sprintf("%s/jobs/%d", s.URL, j.ShardJob)
-	rt.mu.Unlock()
-	resp, err := rt.do(http.MethodDelete, url, nil, rt.cfg.ProbeTimeout)
+	resp, err := rt.do(http.MethodDelete, url, nil, probeTimeout)
 	if err != nil {
 		return http.StatusBadGateway, err
 	}
-	code := resp.StatusCode
+	code = resp.StatusCode
 	drainBody(resp)
 	if code == http.StatusOK {
 		rt.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -83,10 +84,8 @@ func TestFleetFailoverDeterminism(t *testing.T) {
 		},
 		LoadFactor:    -1, // plain hashing: tenant→shard is fixed, so the kill is deterministic
 		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
 		FailAfter:     2,
 		RetryBackoff:  5 * time.Millisecond,
-		SkewThreshold: -1,
 		Logf:          quiet,
 	}
 	rt, err := New(cfg)
@@ -408,4 +407,37 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 			http.Error(w, "transient", http.StatusInternalServerError)
 		})
 	})
+}
+
+// TestUnplacedJobAnswersConflict: a job no live shard could take has no
+// shard to ask, so its reads and DELETE answer 409 naming its state and
+// reason, as gpmrd does for a job without output. They used to answer 502
+// "job 0's shard  is down", blaming a shard with no name.
+func TestUnplacedJobAnswersConflict(t *testing.T) {
+	rt, err := New(Config{
+		Shards:        []Shard{{ID: "s0", URL: "http://127.0.0.1:1"}}, // nothing listens on port 1
+		SubmitRetries: 1,
+		RetryBackoff:  time.Millisecond,
+		Logf:          quiet,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Code != http.StatusServiceUnavailable || st.Job.Shard != "" {
+		t.Fatalf("submit: status %d on shard %q, want 503 and no shard", st.Code, st.Job.Shard)
+	}
+	h := NewHandler(rt, HandlerConfig{Logf: quiet})
+	for _, c := range []struct{ method, path string }{
+		{http.MethodGet, "/jobs/0/output"},
+		{http.MethodGet, "/jobs/0/timeline"},
+		{http.MethodGet, "/jobs/0/explain"},
+		{http.MethodDelete, "/jobs/0"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		body := rec.Body.String()
+		if rec.Code != http.StatusConflict || !strings.Contains(body, "rejected") || !strings.Contains(body, "no live shard") {
+			t.Errorf("%s %s: status %d %s, want 409 naming state rejected and its reason", c.method, c.path, rec.Code, body)
+		}
+	}
 }

@@ -79,10 +79,8 @@ func TestStitchedTimelineLiveMatchesReplay(t *testing.T) {
 		},
 		LoadFactor:    -1,
 		ProbeInterval: 20 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
 		FailAfter:     2,
 		RetryBackoff:  5 * time.Millisecond,
-		SkewThreshold: -1,
 		Logf:          quiet,
 		Obs:           obs.New(),
 	}

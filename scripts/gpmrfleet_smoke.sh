@@ -6,12 +6,15 @@
 #   3. SIGKILL the shard owning the "hot" tenant while it still holds
 #      unfinished work, and verify the router marks it down, re-admits
 #      the orphans onto survivors, and rides every job to completion,
-#   4. fetch a job's /explain breakdown (JSON + text) and the live
+#   4. SIGKILL the router and start a fresh one on the same shards: it
+#      must adopt every job the old one last placed on a survivor, with
+#      the same tag, shard and shard job id, and read it done,
+#   5. fetch a job's /explain breakdown (JSON + text) and the live
 #      stitched fleet /timeline,
-#   5. drain the fleet via POST /drain and capture the merged report,
-#   6. remove the dead shard's partial trace and replay the survivors'
+#   6. drain the fleet via POST /drain and capture the merged report,
+#   7. remove the dead shard's partial trace and replay the survivors'
 #      traces with gpmrfleet -replay,
-#   7. diff the live merged report against the replay, and the live
+#   8. diff the live merged report against the replay, and the live
 #      stitched timeline against the offline -timeline stitch, byte for
 #      byte.
 set -euo pipefail
@@ -38,21 +41,23 @@ done
 
 raddr="127.0.0.1:8460"
 rbase="http://$raddr"
-"$workdir/gpmrfleet" -addr "$raddr" \
-  -shard "s0=http://${shard_addr[s0]}" \
-  -shard "s1=http://${shard_addr[s1]}" \
-  -shard "s2=http://${shard_addr[s2]}" \
-  -load-factor -1 -probe 100ms -fail-after 2 -skew -1 \
-  -obs "$workdir/traces/router.obs" \
-  >"$workdir/router.out" 2>"$workdir/router.log" &
-rpid=$!
-pids="$pids $rpid"
-
-for i in $(seq 1 50); do
-  curl -fsS "$rbase/healthz" >/dev/null 2>&1 && break
-  [ "$i" = 50 ] && { echo "gpmrfleet never became healthy"; cat "$workdir/router.log"; exit 1; }
-  sleep 0.1
-done
+start_router() { # log file; sets rpid
+  "$workdir/gpmrfleet" -addr "$raddr" \
+    -shard "s0=http://${shard_addr[s0]}" \
+    -shard "s1=http://${shard_addr[s1]}" \
+    -shard "s2=http://${shard_addr[s2]}" \
+    -load-factor -1 -probe 100ms -fail-after 2 \
+    -obs "$workdir/traces/router.obs" \
+    >"$workdir/router.out" 2>"$1" &
+  rpid=$!
+  pids="$pids $rpid"
+  for i in $(seq 1 50); do
+    curl -fsS "$rbase/healthz" >/dev/null 2>&1 && return
+    sleep 0.1
+  done
+  echo "gpmrfleet never became healthy"; cat "$1"; exit 1
+}
+start_router "$workdir/router.log"
 
 submit() { # tenant seed -> http code
   curl -sS -X POST "$rbase/jobs" \
@@ -126,6 +131,41 @@ failovers="$(awk '/^gpmr_fleet_failovers_total /{print $2}' "$workdir/metrics.tx
 probefails="$(awk '/^gpmr_fleet_probe_failures_total /{print $2}' "$workdir/metrics.txt")"
 [ "$probefails" -ge 1 ] || { echo "dead shard produced no probe failures"; cat "$workdir/metrics.txt"; exit 1; }
 
+# Restart the router: SIGKILL it (no drain, no saved recording) and start
+# a fresh one on the same shards. Its first refresh must adopt every job
+# the old router last placed on a survivor, as placed and with the same
+# digest; once it has marked the dead shard down, its recording is the
+# one the live and offline timelines below both read.
+curl -fsS "$rbase/jobs" >"$workdir/jobs_before.json"
+kill -9 "$rpid"
+wait "$rpid" 2>/dev/null || true
+start_router "$workdir/router2.log"
+for i in $(seq 1 300); do
+  curl -fsS "$rbase/jobs" >"$workdir/jobs_after.json"
+  curl -fsS "$rbase/shards" >"$workdir/shards_after.json"
+  rc=0
+  python3 -c '
+import json, sys
+before, after, shards = (json.load(open(p)) for p in sys.argv[1:4])
+victim = sys.argv[4]
+now = {j["tag"]: j for j in after}
+settled = all(s["state"] == "down" for s in shards["shards"] if s["id"] == victim)
+for j in before:
+    if j["shard"] == victim:
+        continue
+    a = now.get(j["tag"])
+    if a is None or (a["shard"], a["shardJob"]) != (j["shard"], j["shardJob"]):
+        sys.exit("job %s (%s #%d) not adopted as placed: %s" % (j["tag"], j["shard"], j["shardJob"], a))
+    settled = settled and a["state"] == "done" and a.get("digest") == j.get("digest")
+sys.exit(0 if settled else 3)' \
+    "$workdir/jobs_before.json" "$workdir/jobs_after.json" "$workdir/shards_after.json" "$victim" || rc=$?
+  [ "$rc" = 0 ] && break
+  [ "$rc" = 3 ] || exit 1
+  [ "$i" = 300 ] && { echo "restarted router never settled"; cat "$workdir/jobs_after.json"; exit 1; }
+  sleep 0.1
+done
+adopted="$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))))' "$workdir/jobs_after.json")"
+
 # Explain: the router wraps the owning shard's phase breakdown with its
 # own hop record; the phases must partition the job's latency exactly.
 curl -fsS "$rbase/jobs/0/explain" >"$workdir/explain.json"
@@ -188,4 +228,4 @@ if ! diff -q "$workdir/live_timeline.json" "$workdir/offline_timeline.json"; the
   exit 1
 fi
 
-echo "gpmrfleet smoke: $n jobs, $failovers failed over past dead $victim; merged report and stitched timeline match replay ($(wc -l <"$workdir/replay.out") lines)"
+echo "gpmrfleet smoke: $n jobs, $failovers failed over past dead $victim, $adopted adopted by a restarted router; merged report and stitched timeline match replay ($(wc -l <"$workdir/replay.out") lines)"
