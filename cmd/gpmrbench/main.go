@@ -19,16 +19,9 @@
 // dispatches closures to a pool of N real worker goroutines, and -1 uses
 // one worker per host core. Results and traces are byte-identical across
 // backends — the pool only cuts the harness's wall-clock by running
-// map/sort/reduce work from different simulated GPUs concurrently.
-//
-// -shards selects the DES engine sharding of the scheduled experiments
-// (multijob, online, slo, fleet): 0 (default) runs the single event loop,
-// N >= 1 runs the simulation as N coordinated engine shards under
-// conservative lookahead, and -1 uses one shard per simulated node plus a
-// scheduler hub. All shard counts >= 1 produce byte-identical traces.
-// Exclusive-job experiments always run on one engine. Host cost per mode
-// is measured by the repository benchmark (sched.stream_jobs_per_s.*; see
-// benchmark/README.md).
+// map/sort/reduce work from different simulated GPUs concurrently. Every
+// run simulates on one DES event loop, so every number printed comes
+// from the one engine schedule.
 //
 // -trace records every run on the virtual-time flight recorder and writes
 // the recording as Chrome trace-event JSON — open it in Perfetto
@@ -66,14 +59,13 @@ func main() {
 	phys := flag.Int("phys", 1<<16, "physical element budget per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	workers := flag.Int("workers", 0, "kernel-execution workers: 0 = serial, N = pool(N), -1 = pool(all cores)")
-	shards := flag.Int("shards", 0, "DES engine shards for scheduled experiments (multijob|online|slo|fleet): 0 = single engine, N = N shards, -1 = one per node")
 	tracePath := flag.String("trace", "", "write the runs' flight recording as Chrome trace-event JSON (load in Perfetto)")
 	explain := flag.String("explain", "", "print phase breakdowns after the runs: a job name, or \"all\" (implies recording)")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a host heap profile to this file")
 	flag.Parse()
 
-	o := bench.Options{PhysBudget: *phys, Seed: *seed, Workers: *workers, Shards: *shards}
+	o := bench.Options{PhysBudget: *phys, Seed: *seed, Workers: *workers}
 	if *tracePath != "" || *explain != "" {
 		o.Obs = obs.New()
 	}

@@ -22,6 +22,10 @@
 //	POST   /fleet/register       gpmrfleet registration handshake
 //	POST   /drain                drain handshake: answers with the final report
 //
+// The cluster packs four GPUs per node (all of them on one node when
+// -gpus < 4) and simulates on one DES event loop with kernels inline;
+// the 16 most recent completed jobs keep their output.
+//
 // With -debug-addr set, a second listener serves net/http/pprof under
 // /debug/pprof and expvar under /debug/vars.
 //
@@ -58,7 +62,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8373", "HTTP listen address")
 	gpus := flag.Int("gpus", 16, "cluster GPU ranks")
-	perNode := flag.Int("gpus-per-node", 4, "ranks packed per node")
 	policy := flag.String("policy", "weighted-fair", "admission policy: fifo-exclusive|fixed-share|weighted-fair")
 	share := flag.Int("share", 4, "per-gang rank cap (fixed-share only)")
 	reserve := flag.Bool("reserve", false, "EASY backfill reservation for the blocked queue head")
@@ -66,10 +69,7 @@ func main() {
 	queue := flag.Int("queue", 16, "admission queue bound (negative = unbounded)")
 	quota := flag.Int("quota", 0, "per-tenant in-flight cap (0 = unlimited)")
 	scale := flag.Float64("timescale", 1, "virtual seconds per wall second at the boundary")
-	workers := flag.Int("workers", 0, "kernel-execution workers (see gpmrbench -workers)")
-	shards := flag.Int("shards", 0, "DES engine shards (see gpmrbench -shards)")
 	phys := flag.Int("phys", 1<<16, "physical element budget per job")
-	keep := flag.Int("keep-outputs", 16, "retain canonical outputs of the N most recent completed jobs (0 = off)")
 	tracePath := flag.String("trace", "", "record the arrival trace to this file (JSONL)")
 	replayPath := flag.String("replay", "", "replay a recorded trace offline and print the report")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (e.g. 127.0.0.1:8374)")
@@ -87,7 +87,7 @@ func main() {
 		}()
 	}
 	if *replayPath != "" {
-		if err := replay(*replayPath, *workers, *shards); err != nil {
+		if err := replay(*replayPath); err != nil {
 			log.Fatalf("gpmrd: %v", err)
 		}
 		return
@@ -106,11 +106,6 @@ func main() {
 		log.Fatalf("gpmrd: %v", err)
 	}
 	cc := cluster.DefaultConfig(*gpus)
-	if *perNode > 0 {
-		cc.GPUsPerNode = *perNode
-	}
-	cc.Workers = *workers
-	cc.Shards = *shards
 	// The live daemon always carries a flight recorder: it feeds the
 	// per-job timeline endpoint and recording never perturbs virtual time.
 	cc.Obs = obs.New()
@@ -121,7 +116,7 @@ func main() {
 		MaxQueue:    *queue,
 		Quota:       *quota,
 		TimeScale:   *scale,
-		KeepOutputs: *keep,
+		KeepOutputs: 16,
 	}
 	if err := live(cfg, *addr, *tracePath, *grace); err != nil {
 		log.Fatalf("gpmrd: %v", err)
@@ -129,7 +124,7 @@ func main() {
 }
 
 // replay runs the offline path: same admission code, no wall clock.
-func replay(path string, workers, shards int) error {
+func replay(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -139,7 +134,7 @@ func replay(path string, workers, shards int) error {
 	if err != nil {
 		return err
 	}
-	rep, err := serve.Replay(tr, serve.ReplayOptions{Workers: workers, Shards: shards})
+	rep, err := serve.Replay(tr, serve.ReplayOptions{})
 	if err != nil {
 		return err
 	}

@@ -18,8 +18,9 @@
 //
 //	gpmrfleet -replay tracedir/
 //
-// replays every *.jsonl shard trace through the offline path and prints
-// a byte-identical merged report — the fleet smoke test diffs the two.
+// replays every *.jsonl shard trace through the offline path (one event
+// loop per shard, kernels inline, as gpmrd runs) and prints a
+// byte-identical merged report — the fleet smoke test diffs the two.
 //
 // Causal tracing: every submission is stamped with a trace ID (the
 // fleet tag, unless the submitter set one), the router records its own
@@ -79,22 +80,19 @@ func main() {
 	probe := flag.Duration("probe", 500*time.Millisecond, "shard health-check interval")
 	failAfter := flag.Int("fail-after", 3, "consecutive probe failures before a shard is down")
 	replayDir := flag.String("replay", "", "replay every shard trace (*.jsonl) in this directory and print the merged report")
-	workers := flag.Int("workers", 0, "replay kernel-execution workers (see gpmrbench -workers)")
-	engineShards := flag.Int("engine-shards", 0, "replay DES engine shards (see gpmrbench -shards)")
 	obsPath := flag.String("obs", "", "write the router's own flight recording (JSONL) here at exit")
 	timeline := flag.String("timeline", "", "with -replay: write the stitched fleet timeline (Chrome trace JSON) here instead of the report ('-' = stdout)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "graceful HTTP shutdown window for in-flight requests")
 	flag.Parse()
 
 	if *replayDir != "" {
-		opt := serve.ReplayOptions{Workers: *workers, Shards: *engineShards}
 		if *timeline != "" {
-			if err := stitchTo(*timeline, *replayDir, opt); err != nil {
+			if err := stitchTo(*timeline, *replayDir); err != nil {
 				log.Fatalf("gpmrfleet: %v", err)
 			}
 			return
 		}
-		rep, err := fleet.ReplayDir(*replayDir, opt)
+		rep, err := fleet.ReplayDir(*replayDir, serve.ReplayOptions{})
 		if err != nil {
 			log.Fatalf("gpmrfleet: %v", err)
 		}
@@ -121,7 +119,7 @@ func main() {
 
 // stitchTo writes the offline stitched fleet timeline to path ('-' for
 // stdout).
-func stitchTo(path, dir string, opt serve.ReplayOptions) error {
+func stitchTo(path, dir string) error {
 	w := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -131,7 +129,7 @@ func stitchTo(path, dir string, opt serve.ReplayOptions) error {
 		defer f.Close()
 		w = f
 	}
-	return fleet.WriteStitchedDir(w, dir, opt)
+	return fleet.WriteStitchedDir(w, dir)
 }
 
 func live(cfg fleet.Config, addr string, grace time.Duration, obsPath string) error {

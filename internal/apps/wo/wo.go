@@ -14,6 +14,7 @@
 package wo
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/apps/apputil"
@@ -158,13 +159,24 @@ type Built struct {
 	Lines []string // physical corpus
 }
 
-// NewJob builds the GPMR job for the given parameters.
+// NewJob builds the GPMR job for the given parameters, panicking where
+// BuildJob returns an error.
 func NewJob(p Params) *Built {
+	b, err := BuildJob(p)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// BuildJob builds the GPMR job for the given parameters, or reports that
+// the dictionary's minimal perfect hash could not be built.
+func BuildJob(p Params) (*Built, error) {
 	p = p.withDefaults()
 	dict := workload.Dictionary(p.Seed, p.DictSize)
 	table, err := mph.Build(dict)
 	if err != nil {
-		panic("wo: mph build failed: " + err.Error())
+		return nil, fmt.Errorf("wo: mph build failed for a %d-word dictionary: %w", p.DictSize, err)
 	}
 	sc := apputil.PlanScale(p.Bytes, p.PhysMax)
 	lines := workload.Text(p.Seed+1, dict, sc.PhysElems)
@@ -215,7 +227,7 @@ func NewJob(p Params) *Built {
 		job.Config.Name = "wo-noaccum"
 		job.Mapper = &emitMapper{table: table}
 	}
-	return &Built{Job: job, Dict: dict, Table: table, Lines: lines}
+	return &Built{Job: job, Dict: dict, Table: table, Lines: lines}, nil
 }
 
 // emitMapper is the ablation mapper: one ⟨hash(word),1⟩ pair per word,

@@ -55,8 +55,8 @@ type command struct {
 	run func(stdout *bytes.Buffer, tracePath string) error
 }
 
-// scheduled are the experiments that read -workers and -shards through a
-// scheduler; the others run each job alone on one engine.
+// scheduled are the experiments that read -workers through a scheduler;
+// the others run each job alone.
 var scheduled = []string{"multijob", "online", "slo", "fleet"}
 
 // gpmrbench is `gpmrbench -exp <e.Name> …` at o, recorded to trace when
@@ -67,7 +67,9 @@ func gpmrbench(e Experiment, o Options, trace string) command {
 	if o.PhysBudget != 1<<16 {
 		argv += fmt.Sprintf(" -phys %d", o.PhysBudget)
 	}
-	argv += engine(o.Shards, o.Workers)
+	if o.Workers != 0 {
+		argv += fmt.Sprintf(" -workers %d", o.Workers)
+	}
 	if trace != "" {
 		argv += " -trace " + trace
 	}
@@ -94,10 +96,9 @@ func gpmrsim(name string, gpus int) command {
 		}}
 }
 
-// gpmrdReplay is `gpmrd -replay <submitTrace> …` at the given backend and
-// engine sharding.
-func gpmrdReplay(workers, shards int) command {
-	return command{argv: "gpmrd -replay " + submitTrace + engine(shards, workers), full: true, run: func(w *bytes.Buffer, _ string) error {
+// gpmrdReplay is `gpmrd -replay <submitTrace>`.
+func gpmrdReplay() command {
+	return command{argv: "gpmrd -replay " + submitTrace, full: true, run: func(w *bytes.Buffer, _ string) error {
 		f, err := os.Open(submitTrace)
 		if err != nil {
 			return err
@@ -107,24 +108,13 @@ func gpmrdReplay(workers, shards int) command {
 		if err != nil {
 			return err
 		}
-		rep, err := serve.Replay(tr, serve.ReplayOptions{Workers: workers, Shards: shards})
+		rep, err := serve.Replay(tr, serve.ReplayOptions{})
 		if err != nil {
 			return err
 		}
 		w.WriteString(rep.String())
 		return nil
 	}}
-}
-
-// engine is a command line's -shards and -workers flags.
-func engine(shards, workers int) (flags string) {
-	if shards != 0 {
-		flags += fmt.Sprintf(" -shards %d", shards)
-	}
-	if workers != 0 {
-		flags += fmt.Sprintf(" -workers %d", workers)
-	}
-	return flags
 }
 
 // like puts c in the equality class of stdout (and of the trace file
@@ -157,48 +147,15 @@ func commands() []command {
 		}
 	}
 
-	// The sharded engine's class: every shard count >= 1, on either
-	// backend, prints what one shard does. Shard count 0 is the single
-	// event loop, whose schedule differs, so it is a class of its own.
-	var multijob Experiment
-	for _, e := range Experiments {
-		if !slices.Contains(scheduled, e.Name) {
-			continue
-		}
-		o := Options{PhysBudget: 4096, Seed: 1, Shards: 1}
-		one := gpmrbench(e, o, "")
-		cs = append(cs, one)
-		points := [][2]int{{2, 4}}
-		switch e.Name {
-		case "online":
-			points = [][2]int{{2, 4}, {-1, 0}}
-		case "multijob":
-			multijob = e
-			// (2, 4), (4, 0) and (-1, 4) print here too, with -trace, below.
-			points = [][2]int{{1, 4}, {2, 0}, {4, 4}, {-1, 0}}
-		}
-		for _, p := range points {
-			o.Shards, o.Workers = p[0], p[1]
-			cs = append(cs, like(gpmrbench(e, o, ""), one.argv, ""))
-		}
+	// multijob's recording on either backend: the report is the
+	// unrecorded one, and the trace file agrees across backends.
+	multijob := Experiments[slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == "multijob" })]
+	for _, workers := range []int{0, 4} {
+		o := Options{PhysBudget: 4096, Seed: 1, Workers: workers}
+		c := gpmrbench(multijob, o, fmt.Sprintf("multijob_shards0_w%d.json", workers))
+		cs = append(cs, like(c, "gpmrbench -exp multijob -seed 1 -phys 4096", "multijob_shards0_w0.json"))
 	}
-	// multijob's recording at every engine setting: the report is the
-	// unrecorded one, and the trace file agrees across shard counts >= 1
-	// and across backends.
-	for _, p := range [][2]int{{0, 0}, {0, 4}, {1, 0}, {2, 4}, {4, 0}, {-1, 4}} {
-		o := Options{PhysBudget: 4096, Seed: 1, Shards: p[0], Workers: p[1]}
-		c := gpmrbench(multijob, o, fmt.Sprintf("multijob_shards%d_w%d.json", p[0], p[1]))
-		if p[0] == 0 {
-			c = like(c, "gpmrbench -exp multijob -seed 1 -phys 4096", "multijob_shards0_w0.json")
-		} else {
-			c = like(c, "gpmrbench -exp multijob -seed 1 -phys 4096 -shards 1", "multijob_shards1_w0.json")
-		}
-		cs = append(cs, c)
-	}
-
-	serial, sharded := gpmrdReplay(0, 0), gpmrdReplay(0, 1)
-	cs = append(cs, serial, like(gpmrdReplay(4, 0), serial.argv, ""),
-		sharded, like(gpmrdReplay(4, 2), sharded.argv, ""), like(gpmrdReplay(0, -1), sharded.argv, ""))
+	cs = append(cs, gpmrdReplay())
 	return append(cs, gpmrsim("kmc", 8), gpmrsim("wo", 8))
 }
 

@@ -76,11 +76,8 @@ func Multijob(o Options) ([]MultijobRow, []*sched.ClusterTrace, error) {
 	o = o.withDefaults()
 	cc := cluster.DefaultConfig(MultijobGPUs)
 	// The shared machine's kernel-execution backend: with a pool, kernels
-	// from co-resident tenants occupy real host cores concurrently. The
-	// Shards knob additionally spreads co-resident tenants' event loops
-	// over engine shards.
+	// from co-resident tenants occupy real host cores concurrently.
 	cc.Workers = o.Workers
-	cc.Shards = o.Shards
 	cc.Obs = o.Obs
 	var rows []MultijobRow
 	var traces []*sched.ClusterTrace

@@ -14,8 +14,7 @@ import (
 // the same command without a recorder, which TestIdentity holds to the
 // unrecorded run. (Ablation, Faults and Imbalance used to copy Workers
 // into their jobs' configs but not Obs, so -trace and -explain came back
-// empty for them.) multijob runs a second time on the sharded scheduler,
-// whose recording path is its own.
+// empty for them.)
 func TestRecordingReachesEveryExperiment(t *testing.T) {
 	want, err := readManifest()
 	if err != nil {
@@ -28,16 +27,13 @@ func TestRecordingReachesEveryExperiment(t *testing.T) {
 		o    Options
 		out  string
 	}
-	o, sharded := Options{PhysBudget: 4096, Seed: 1}, Options{PhysBudget: 4096, Seed: 1, Shards: 2}
+	o := Options{PhysBudget: 4096, Seed: 1}
 	var runs []*run
 	for _, e := range Experiments {
 		switch {
 		case e.Name == "table4": // counts source lines; TestTable4Counts covers it
 		case e.PerApp == nil:
 			runs = append(runs, &run{name: e.Name, exp: e, do: e.Run, o: o})
-			if e.Name == "multijob" {
-				runs = append(runs, &run{name: "multijob/sharded", exp: e, do: e.Run, o: sharded})
-			}
 		default:
 			for _, b := range Benchmarks {
 				do := func(w io.Writer, o Options) error { return e.PerApp(w, b, o) }

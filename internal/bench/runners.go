@@ -32,11 +32,6 @@ type Options struct {
 	// negative = pool(GOMAXPROCS). Results are byte-identical across
 	// backends; only harness wall-clock changes.
 	Workers int
-	// Shards selects the DES engine sharding for the scheduled experiments
-	// (multijob, online, slo, fleet; see cluster.Config.Shards): 0 = legacy
-	// single engine, n >= 1 = a ShardSet of n engines, negative = one per
-	// node plus the hub. Exclusive runs always use one engine.
-	Shards int
 	// Obs, when set, records every run's flight-recorder trace (see
 	// internal/obs). Recording does not perturb results: all rendered
 	// output is byte-identical with and without it.
@@ -58,8 +53,7 @@ func (o Options) withDefaults() Options {
 
 // replayCell replays one cell of a scheduled experiment (online, slo,
 // fleet) — a trace header plus arrival events — through serve's offline
-// path on the harness's kernel backend, engine shards and flight
-// recorder. Every cell runs four-GPU nodes at the harness's physical
+// path on the harness's kernel backend and flight recorder. Every cell runs four-GPU nodes at the harness's physical
 // budget. prefix keeps the cell's recorder streams distinct from every
 // other cell's in one trace file; it is cleared again on return.
 func (o Options) replayCell(prefix string, h serve.Header, evs []serve.Event) (*serve.Report, error) {
@@ -67,5 +61,5 @@ func (o Options) replayCell(prefix string, h serve.Header, evs []serve.Event) (*
 	o.Obs.SetPrefix(prefix)
 	defer o.Obs.SetPrefix("")
 	return serve.Replay(&serve.Trace{Header: h, Events: evs},
-		serve.ReplayOptions{Workers: o.Workers, Shards: o.Shards, Obs: o.Obs})
+		serve.ReplayOptions{Workers: o.Workers, Obs: o.Obs})
 }

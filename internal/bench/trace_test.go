@@ -11,9 +11,8 @@ import (
 // The flight recorder's contract, proven end to end: recording must not
 // perturb the simulation (every rendered report is byte-identical with
 // and without it — TestRecordingReachesEveryExperiment walks the registry
-// for that), and the recording is byte-identical across engine shard
-// counts >= 1 and kernel-execution backends (identity.sum's multijob
-// -trace cells).
+// for that), and the recording is byte-identical across kernel-execution
+// backends (identity.sum's multijob -trace cells).
 
 // traceOpts keeps the recording runs cheap enough for CI.
 func traceOpts() Options { return Options{PhysBudget: 2048, Seed: 1} }

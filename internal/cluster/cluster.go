@@ -200,10 +200,6 @@ func New(eng *des.Engine, cfg Config) *Cluster {
 	return c
 }
 
-// Backend returns the kernel-execution backend shared by the cluster's
-// devices.
-func (c *Cluster) Backend() gpu.Backend { return c.backend }
-
 // Close releases the execution backend's workers. Call after the engine
 // has run to completion; idempotent, and a no-op for the Serial backend.
 func (c *Cluster) Close() { c.backend.Close() }

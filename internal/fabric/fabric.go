@@ -79,9 +79,6 @@ func New(eng *des.Engine, props Props, nodeOf []int) *Fabric {
 	return f
 }
 
-// Props returns the fabric's configuration.
-func (f *Fabric) Props() Props { return f.props }
-
 // Ranks returns the number of ranks.
 func (f *Fabric) Ranks() int { return len(f.nodeOf) }
 

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/des"
 	"repro/internal/serve"
@@ -82,15 +81,15 @@ func TestFailoverKeepsSLOFields(t *testing.T) {
 			defer s.hs.Close()
 		}
 		rt, err := New(Config{
-			Shards:       []Shard{{ID: "s0", URL: shards["s0"].hs.URL}, {ID: "s1", URL: shards["s1"].hs.URL}},
-			LoadFactor:   -1, // plain hashing: one tenant, one owner
-			FailAfter:    2,
-			RetryBackoff: time.Millisecond,
-			Logf:         quiet,
+			Shards:     []Shard{{ID: "s0", URL: shards["s0"].hs.URL}, {ID: "s1", URL: shards["s1"].hs.URL}},
+			LoadFactor: -1, // plain hashing: one tenant, one owner
+			FailAfter:  2,
+			Logf:       quiet,
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		rt.sleep = noSleep
 		const n = 6
 		for i := 0; i < n; i++ {
 			if st := rt.Submit(sloRequest(i + 1)); st.Code != http.StatusAccepted {
@@ -187,10 +186,11 @@ func TestRecoverAdoptsSLOFields(t *testing.T) {
 func TestFrontDoorForwardsRetryAfter(t *testing.T) {
 	stub := newStubShard(t)
 	stub.refuse, stub.retry = true, 37
-	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: stub.hs.URL}}, RetryBackoff: time.Millisecond, Logf: quiet})
+	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: stub.hs.URL}}, Logf: quiet})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.sleep = noSleep
 	body, _ := json.Marshal(sloRequest(1))
 	rec := httptest.NewRecorder()
 	NewHandler(rt, HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))

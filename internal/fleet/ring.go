@@ -14,6 +14,7 @@ package fleet
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 )
 
@@ -90,11 +91,12 @@ func hash64(s string) uint64 {
 // Pick routes a key. eligible maps live shard IDs to their current load
 // (in-flight jobs, in whatever unit the caller tracks); shards absent
 // from the map are skipped. With c > 0, the walk takes the first
-// eligible shard whose load stays under ceil(c·(total+1)/n); if every
-// eligible shard is at the bound — or c <= 0 disables bounding — the
-// first eligible shard in ring order wins (plain consistent hashing
-// when c <= 0, least-loaded fallback otherwise). Deterministic: same
-// ring, key, loads, and factor always pick the same shard.
+// eligible shard whose load stays under ceil(c·(total+1)/n), capped at
+// total+1 (which every shard is under); if every eligible shard is at the
+// bound, the least-loaded one wins. Any other c (<= 0, or NaN) disables
+// bounding: the first eligible shard in ring order wins (plain
+// consistent hashing). Deterministic: same ring, key, loads, and factor
+// always pick the same shard.
 func (r *Ring) Pick(key string, eligible map[string]int, c float64) (string, bool) {
 	if len(eligible) == 0 {
 		return "", false
@@ -106,8 +108,10 @@ func (r *Ring) Pick(key string, eligible map[string]int, c float64) (string, boo
 			total += l
 		}
 		// ceil(c·(total+1)/n): every shard may hold its fair share of the
-		// load including the key being placed, scaled by c.
-		bound = int(ceilDiv(c * float64(total+1) / float64(len(eligible))))
+		// load including the key being placed, scaled by c. A bound above
+		// total+1 binds no shard, and capping there keeps a huge c from
+		// overflowing int.
+		bound = int(min(math.Ceil(c*float64(total+1)/float64(len(eligible))), float64(total+1)))
 	}
 	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
@@ -127,7 +131,7 @@ func (r *Ring) Pick(key string, eligible map[string]int, c float64) (string, boo
 	if len(walk) == 0 {
 		return "", false
 	}
-	if c <= 0 {
+	if !(c > 0) {
 		return walk[0], true
 	}
 	for _, s := range walk {
@@ -144,16 +148,4 @@ func (r *Ring) Pick(key string, eligible map[string]int, c float64) (string, boo
 		}
 	}
 	return best, true
-}
-
-// ceilDiv rounds a positive float up to the next integer (at least 1).
-func ceilDiv(f float64) float64 {
-	n := float64(int(f))
-	if n < f {
-		n++
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

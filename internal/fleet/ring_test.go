@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -106,5 +107,29 @@ func TestRingRejectsBadShards(t *testing.T) {
 	}
 	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
 		t.Fatal("duplicate shard id accepted")
+	}
+}
+
+// TestRingHugeLoadFactorNeverBinds: a load factor too large to bind any
+// shard routes like plain hashing — one tenant's 30 picks all land on its
+// home — and so does a NaN factor. (A huge or infinite c used to overflow
+// the bound to 1, and NaN fell through both the bounded and the plain
+// branch, so each spread the tenant 10/10/10 like least-loaded routing.)
+func TestRingHugeLoadFactorNeverBinds(t *testing.T) {
+	ids := []string{"s0", "s1", "s2"}
+	r, err := NewRing(ids, 0)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	home, _ := r.Pick("hot", eligibleZero(ids...), -1)
+	for _, c := range []float64{1e6, 1e300, math.Inf(1), math.NaN()} {
+		loads := eligibleZero(ids...)
+		for i := 0; i < 30; i++ {
+			s, _ := r.Pick("hot", loads, c)
+			loads[s]++
+		}
+		if loads[home] != 30 {
+			t.Errorf("c=%v: 30 picks spread %v, want all on home %s", c, loads, home)
+		}
 	}
 }

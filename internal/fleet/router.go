@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -25,13 +26,15 @@ type Shard struct {
 	URL string `json:"url"` // base URL, e.g. http://127.0.0.1:8373
 }
 
-// Config shapes one router.
+// Config shapes one router. Every field is a deployment setting: the
+// retry schedule is fixed (submitRetries, retryBackoff, retryAfterCap).
 type Config struct {
 	Shards []Shard
 
 	// LoadFactor is the bounded-load factor c: a shard's in-flight load
 	// may exceed its fair share by at most c×. 0 defaults to 1.25;
-	// negative disables the bound (plain consistent hashing).
+	// negative disables the bound (plain consistent hashing). New rejects
+	// NaN, ±Inf and 0 < c < 1, under which every shard sits at its bound.
 	LoadFactor float64
 
 	// ProbeInterval is the health-check cadence (default 500ms); each
@@ -39,19 +42,6 @@ type Config struct {
 	// mark a shard down (default 3).
 	ProbeInterval time.Duration
 	FailAfter     int
-
-	// SubmitRetries is how many times one proxied submission is retried
-	// against the same shard on transport errors or transient 5xx before
-	// the router fails over to the next ring candidate (default 2), with
-	// RetryBackoff between tries, doubling (default 25ms). Each try is
-	// bounded by submitTimeout.
-	SubmitRetries int
-	RetryBackoff  time.Duration
-	// RetryAfterCap bounds how long the router honors a shard's
-	// Retry-After header (429 backpressure and retried 5xx): the shard
-	// predicts its own queue drain, but the router will not stall a
-	// submission longer than this per try (default 2s).
-	RetryAfterCap time.Duration
 
 	// Logf receives router diagnostics. Defaults to log.Printf.
 	Logf func(format string, args ...any)
@@ -69,10 +59,22 @@ type Config struct {
 // paths; probeTimeout bounds one probe, job-table fetch, registration or
 // cancel; drainTimeout bounds one shard's drain handshake, which waits for
 // every admitted job to finish.
+//
+// A proxied submission is retried submitRetries times against the same
+// shard on transport errors or transient 5xx before the router fails over
+// to the next ring candidate, with retryBackoff between tries, doubling.
+// retryAfterCap bounds how long the router honors a shard's Retry-After
+// header (429 backpressure and retried 5xx): the shard predicts its own
+// queue drain, but the router will not stall a submission longer than
+// this per try.
 const (
 	submitTimeout = 15 * time.Second
 	probeTimeout  = 2 * time.Second
 	drainTimeout  = 120 * time.Second
+
+	submitRetries = 2
+	retryBackoff  = 25 * time.Millisecond
+	retryAfterCap = 2 * time.Second
 )
 
 func (c Config) withDefaults() Config {
@@ -84,15 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
-	}
-	if c.SubmitRetries <= 0 {
-		c.SubmitRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.RetryAfterCap <= 0 {
-		c.RetryAfterCap = 2 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -153,6 +146,9 @@ type Router struct {
 	ring *Ring
 	obs  *obs.Recorder // cfg.Obs; nil-safe
 	base time.Time     // router start, the zero of its obs clock
+	// sleep waits out one retry delay: time.Sleep, which in-package tests
+	// replace to read the schedule without spending it.
+	sleep func(time.Duration)
 
 	mu      sync.Mutex
 	shards  map[string]*shardRT
@@ -176,6 +172,9 @@ type Router struct {
 // New builds a router over the configured shards.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
+	if c := cfg.LoadFactor; math.IsNaN(c) || math.IsInf(c, 0) || (c > 0 && c < 1) {
+		return nil, fmt.Errorf("fleet: load factor %v: want >= 1, or negative for plain hashing", c)
+	}
 	ids := make([]string, 0, len(cfg.Shards))
 	for _, s := range cfg.Shards {
 		if s.URL == "" {
@@ -192,6 +191,7 @@ func New(cfg Config) (*Router, error) {
 		ring:   ring,
 		obs:    cfg.Obs,
 		base:   time.Now(),
+		sleep:  time.Sleep,
 		shards: make(map[string]*shardRT, len(cfg.Shards)),
 		byTag:  make(map[string]*FleetJob),
 		stopc:  make(chan struct{}),
@@ -386,7 +386,7 @@ func (rt *Router) route(req serve.Request, exclude map[string]bool) (serve.JobIn
 // postJob posts one submission to one shard with retry/backoff on
 // transport errors and transient 5xx. A Retry-After header on a 429 or
 // retried 5xx overrides the exponential backoff (capped at
-// RetryAfterCap): the shard predicts its own queue drain, so its hint
+// retryAfterCap): the shard predicts its own queue drain, so its hint
 // beats a blind schedule.
 func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int, error) {
 	rt.mu.Lock()
@@ -396,10 +396,10 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 	if err != nil {
 		return serve.JobInfo{}, 0, err
 	}
-	backoff := rt.cfg.RetryBackoff
+	backoff := retryBackoff
 	var wait time.Duration // next try's delay, when a Retry-After hint overrides backoff
 	var lastErr error
-	for try := 0; try <= rt.cfg.SubmitRetries; try++ {
+	for try := 0; try <= submitRetries; try++ {
 		if try > 0 {
 			d := backoff
 			backoff *= 2
@@ -407,7 +407,7 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 				d = wait
 				wait = 0
 			}
-			time.Sleep(d)
+			rt.sleep(d)
 			rt.mu.Lock()
 			rt.stats.Retries++
 			rt.mu.Unlock()
@@ -421,7 +421,7 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 		}
 		code := resp.StatusCode
 		if code >= 500 && code != http.StatusServiceUnavailable {
-			wait = rt.retryAfterHint(resp)
+			wait = retryAfterHint(resp)
 			drainBody(resp)
 			lastErr = fmt.Errorf("fleet: shard %s answered %d", shardID, code)
 			continue
@@ -434,8 +434,8 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 				continue
 			}
 		}
-		if code == http.StatusTooManyRequests && try < rt.cfg.SubmitRetries {
-			if d := rt.retryAfterHint(resp); d > 0 {
+		if code == http.StatusTooManyRequests && try < submitRetries {
+			if d := retryAfterHint(resp); d > 0 {
 				// Backpressure with a drain prediction: wait it out and
 				// retry the same shard instead of surfacing the reject.
 				wait = d
@@ -451,17 +451,14 @@ func (rt *Router) postJob(shardID string, req serve.Request) (serve.JobInfo, int
 }
 
 // retryAfterHint parses a response's Retry-After seconds, capped at
-// RetryAfterCap; 0 when absent or unparseable.
-func (rt *Router) retryAfterHint(resp *http.Response) time.Duration {
+// retryAfterCap; 0 when absent or unparseable.
+func retryAfterHint(resp *http.Response) time.Duration {
 	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 	if err != nil || secs <= 0 {
 		return 0
 	}
 	d := time.Duration(secs) * time.Second
-	if d > rt.cfg.RetryAfterCap {
-		d = rt.cfg.RetryAfterCap
-	}
-	return d
+	return min(d, retryAfterCap)
 }
 
 // probeLoop is the router's heartbeat: health-check every shard, sync the

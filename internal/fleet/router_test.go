@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +23,10 @@ import (
 // quiet swallows router/handler diagnostics so tests can log after the
 // harness finishes probing.
 func quiet(string, ...any) {}
+
+// noSleep replaces a router's retry sleep: tests read the retry schedule
+// (Stats, or a recording stub) instead of spending it.
+func noSleep(time.Duration) {}
 
 // syncBuffer guards a trace buffer against the engine goroutine writing
 // while a probe races; reads happen only after drain.
@@ -85,13 +91,13 @@ func TestFleetFailoverDeterminism(t *testing.T) {
 		LoadFactor:    -1, // plain hashing: tenant→shard is fixed, so the kill is deterministic
 		ProbeInterval: 20 * time.Millisecond,
 		FailAfter:     2,
-		RetryBackoff:  5 * time.Millisecond,
 		Logf:          quiet,
 	}
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.sleep = noSleep
 	rt.Start()
 
 	submit := func(tenant string, i int) SubmitStatus {
@@ -256,21 +262,21 @@ func TestRouterRetriesTransientErrors(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
 
-	rt, err := New(Config{
-		Shards:        []Shard{{ID: "s0", URL: hs.URL}},
-		SubmitRetries: 2,
-		RetryBackoff:  time.Millisecond,
-		Logf:          quiet,
-	})
+	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: hs.URL}}, Logf: quiet})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	var slept []time.Duration
+	rt.sleep = func(d time.Duration) { slept = append(slept, d) }
 	st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo", Params: serve.Params{"bytes": 1 << 20, "gpus": 2, "seed": 1}})
 	if st.Code != http.StatusAccepted {
 		t.Fatalf("submit: status %d (%s)", st.Code, st.Err)
 	}
 	if got := rt.Stats().Retries; got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
+	}
+	if want := []time.Duration{retryBackoff, 2 * retryBackoff}; !slices.Equal(slept, want) {
+		t.Errorf("router slept %v between tries, want the doubling backoff %v", slept, want)
 	}
 }
 
@@ -283,15 +289,14 @@ func TestRouterReroutesAroundDeadShard(t *testing.T) {
 	deadURL := "http://127.0.0.1:1" // nothing listens on port 1
 
 	rt, err := New(Config{
-		Shards:        []Shard{{ID: "s0", URL: deadURL}, {ID: "s1", URL: alive.hs.URL}},
-		LoadFactor:    -1,
-		SubmitRetries: 1,
-		RetryBackoff:  time.Millisecond,
-		Logf:          quiet,
+		Shards:     []Shard{{ID: "s0", URL: deadURL}, {ID: "s1", URL: alive.hs.URL}},
+		LoadFactor: -1,
+		Logf:       quiet,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.sleep = noSleep
 	// Find a tenant whose plain-hash home is the dead shard.
 	ring, err := NewRing([]string{"s0", "s1"}, 0)
 	if err != nil {
@@ -336,23 +341,23 @@ func TestMergeOrderAndSummary(t *testing.T) {
 
 // TestRouterHonorsRetryAfter: a shard shedding with a Retry-After drain
 // prediction gets retried on that schedule — the hint overrides the
-// exponential backoff, capped at RetryAfterCap — and the submission
+// exponential backoff, capped at retryAfterCap — and the submission
 // still lands on the same shard once the queue opens up. The same cap
-// governs a transient 5xx carrying the header.
+// governs a transient 5xx carrying the header. The test reads the sleep
+// the router asked for, not a wall-clock gap.
 func TestRouterHonorsRetryAfter(t *testing.T) {
-	const cap = 60 * time.Millisecond
 	run := func(t *testing.T, firstAnswer func(w http.ResponseWriter)) {
 		var mu sync.Mutex
-		var stamps []time.Time
+		posts := 0
 		mux := http.NewServeMux()
 		mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
 			mu.Lock()
-			stamps = append(stamps, time.Now())
-			n := len(stamps)
+			posts++
+			n := posts
 			mu.Unlock()
 			if n == 1 {
 				// Advertise a drain far beyond the cap: the router must
-				// wait capped, not the full hint, and not the 1ms backoff.
+				// wait capped, not the full hint, and not the backoff.
 				w.Header().Set("Retry-After", "7")
 				firstAnswer(w)
 				return
@@ -360,22 +365,15 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 			w.WriteHeader(http.StatusAccepted)
 			json.NewEncoder(w).Encode(serve.JobInfo{ID: 0, Tenant: "ana", Kind: "wo", Status: "queued"})
 		})
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
-		mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "[]") })
-		mux.HandleFunc("POST /fleet/register", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "{}") })
 		hs := httptest.NewServer(mux)
 		defer hs.Close()
 
-		rt, err := New(Config{
-			Shards:        []Shard{{ID: "s0", URL: hs.URL}},
-			SubmitRetries: 2,
-			RetryBackoff:  time.Millisecond,
-			RetryAfterCap: cap,
-			Logf:          quiet,
-		})
+		rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: hs.URL}}, Logf: quiet})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
+		var slept []time.Duration
+		rt.sleep = func(d time.Duration) { slept = append(slept, d) }
 		st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo", Params: serve.Params{"bytes": 1 << 20, "gpus": 2, "seed": 1}})
 		if st.Code != http.StatusAccepted {
 			t.Fatalf("submit: status %d (%s)", st.Code, st.Err)
@@ -385,15 +383,11 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if len(stamps) != 2 {
-			t.Fatalf("shard saw %d posts, want 2", len(stamps))
+		if posts != 2 {
+			t.Fatalf("shard saw %d posts, want 2", posts)
 		}
-		gap := stamps[1].Sub(stamps[0])
-		if gap < cap-5*time.Millisecond {
-			t.Errorf("retry after %v — the shard's Retry-After hint was ignored (backoff is 1ms)", gap)
-		}
-		if gap > 2*time.Second {
-			t.Errorf("retry after %v — the 7s hint was not capped at %v", gap, cap)
+		if want := []time.Duration{2 * time.Second}; !slices.Equal(slept, want) {
+			t.Errorf("router slept %v before its retry, want the 7s hint capped to %v", slept, want)
 		}
 	}
 	t.Run("429", func(t *testing.T) {
@@ -415,14 +409,13 @@ func TestRouterHonorsRetryAfter(t *testing.T) {
 // "job 0's shard  is down", blaming a shard with no name.
 func TestUnplacedJobAnswersConflict(t *testing.T) {
 	rt, err := New(Config{
-		Shards:        []Shard{{ID: "s0", URL: "http://127.0.0.1:1"}}, // nothing listens on port 1
-		SubmitRetries: 1,
-		RetryBackoff:  time.Millisecond,
-		Logf:          quiet,
+		Shards: []Shard{{ID: "s0", URL: "http://127.0.0.1:1"}}, // nothing listens on port 1
+		Logf:   quiet,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.sleep = noSleep
 	if st := rt.Submit(serve.Request{Tenant: "ana", Kind: "wo"}); st.Code != http.StatusServiceUnavailable || st.Job.Shard != "" {
 		t.Fatalf("submit: status %d on shard %q, want 503 and no shard", st.Code, st.Job.Shard)
 	}
@@ -438,6 +431,26 @@ func TestUnplacedJobAnswersConflict(t *testing.T) {
 		body := rec.Body.String()
 		if rec.Code != http.StatusConflict || !strings.Contains(body, "rejected") || !strings.Contains(body, "no live shard") {
 			t.Errorf("%s %s: status %d %s, want 409 naming state rejected and its reason", c.method, c.path, rec.Code, body)
+		}
+	}
+}
+
+// TestNewRejectsBadLoadFactor: a load factor under which bounded-load
+// routing cannot work — NaN, ±Inf, or 0 < c < 1, where every shard sits at
+// its bound — is refused by name, so gpmrfleet exits instead of quietly
+// routing least-loaded. 0 (the default), negative (plain hashing) and
+// c >= 1 are accepted.
+func TestNewRejectsBadLoadFactor(t *testing.T) {
+	shards := []Shard{{ID: "s0", URL: "http://127.0.0.1:1"}}
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5, 0.999} {
+		_, err := New(Config{Shards: shards, LoadFactor: c})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(c)) {
+			t.Errorf("LoadFactor %v: err %v, want a rejection naming the value", c, err)
+		}
+	}
+	for _, c := range []float64{0, -1, 1, 1.25, 1e300} {
+		if _, err := New(Config{Shards: shards, LoadFactor: c}); err != nil {
+			t.Errorf("LoadFactor %v: %v", c, err)
 		}
 	}
 }

@@ -133,9 +133,9 @@ func StitchDir(dir string, opt serve.ReplayOptions) ([]obs.Event, error) {
 
 // WriteStitchedDir renders StitchDir's merge as Chrome trace-event JSON
 // with per-shard lane groups — byte-identical to the live /timeline of
-// the run that recorded the directory.
-func WriteStitchedDir(w io.Writer, dir string, opt serve.ReplayOptions) error {
-	evs, err := StitchDir(dir, opt)
+// the run that recorded the directory, which ran on the default engine.
+func WriteStitchedDir(w io.Writer, dir string) error {
+	evs, err := StitchDir(dir, serve.ReplayOptions{})
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,6 @@ func TestStitchedTimelineLiveMatchesReplay(t *testing.T) {
 		LoadFactor:    -1,
 		ProbeInterval: 20 * time.Millisecond,
 		FailAfter:     2,
-		RetryBackoff:  5 * time.Millisecond,
 		Logf:          quiet,
 		Obs:           obs.New(),
 	}
@@ -88,6 +87,7 @@ func TestStitchedTimelineLiveMatchesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	rt.sleep = noSleep
 	rt.Start()
 
 	// Submit until both shards own work (plain hashing is deterministic,
@@ -241,7 +241,7 @@ func TestStitchedTimelineLiveMatchesReplay(t *testing.T) {
 		t.Fatalf("writing router obs: %v", err)
 	}
 	var off bytes.Buffer
-	if err := WriteStitchedDir(&off, dir, serve.ReplayOptions{}); err != nil {
+	if err := WriteStitchedDir(&off, dir); err != nil {
 		t.Fatalf("WriteStitchedDir: %v", err)
 	}
 	if !bytes.Equal(live.Bytes(), off.Bytes()) {

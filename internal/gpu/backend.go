@@ -123,9 +123,6 @@ func (p *Pool) Close() {
 	})
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 func (p *Pool) String() string { return fmt.Sprintf("pool(%d)", p.workers) }
 
 // NewBackend maps a worker-count knob onto a backend: 0 is Serial (the

@@ -66,9 +66,6 @@ func (d *Device) SetBackend(b Backend) {
 	d.exec = b
 }
 
-// Backend returns the device's current execution backend.
-func (d *Device) Backend() Backend { return d.exec }
-
 // SetDerate stretches all subsequent kernel and PCIe durations on this
 // device by factor (>1 = slower; values below 1 clamp to nominal). It
 // models heterogeneous-slow or throttled GPUs — the straggler half of the

@@ -410,9 +410,6 @@ func (s *Scheduler) Running() int { return len(s.running) }
 // FreeRanks is the number of idle GPU ranks.
 func (s *Scheduler) FreeRanks() int { return s.nFree }
 
-// Err returns the first launch failure of a batch run, if any.
-func (s *Scheduler) Err() error { return s.launchE }
-
 // Trace assembles the cluster-level record of everything admitted so far.
 // Cancelled jobs are skipped: they never touched the cluster, and a
 // replayed stream that re-cancels them produces the identical trace.

@@ -26,19 +26,6 @@ func (p Params) get(key string, def int64) int64 {
 	return def
 }
 
-// ranged reads a parameter with a default, rejecting values outside
-// lo..hi. Builders use it for every size-like knob: a tenant-supplied
-// value reaches job construction on the engine goroutine, where an
-// unchecked non-positive size (or an absurd one) would panic or exhaust
-// the host instead of rejecting the one submission.
-func (p Params) ranged(key string, def, lo, hi int64) (int64, error) {
-	v := p.get(key, def)
-	if v < lo || v > hi {
-		return 0, fmt.Errorf("serve: parameter %q = %d outside %d..%d", key, v, lo, hi)
-	}
-	return v, nil
-}
-
 // Builder constructs one runnable job from submitted parameters. name is
 // the unique job name the service assigned (it appears in cluster traces
 // and deadlock diagnostics); implementations must set it on the job's
@@ -110,37 +97,80 @@ func (c *Catalog) Build(kind, name string, p Params) (core.Runnable, error) {
 	return b.Build(name, p)
 }
 
+// The bounds DefaultCatalog puts on the work one submission plans. Job
+// construction runs on the engine goroutine, so a size that builds slowly,
+// or allocates per chunk without limit, would stall or kill the whole
+// daemon instead of rejecting the one submission.
+const (
+	maxData    = 1 << 40 // any virtual dataset size: paper scale is 1 TB
+	maxChunks  = 1 << 16 // one job's chunk list: 1 TiB at every default chunk size
+	maxDict    = 1 << 16 // wo words: the paper's 43 000, whose MPH builds in ~30 ms
+	maxCenters = 1 << 10 // kmc k: a map step costs points × centers host time
+)
+
+// The chunk sizes the catalog cuts jobs at, each app's default: virtual
+// bytes for wo, points for kmc, elements for sio (unless chunkcap is set).
+const (
+	woChunk  = 32 << 20
+	kmcChunk = 8 << 20
+	sioChunk = 16 << 20
+)
+
+// args reads one submission's parameters in order and keeps the first
+// rejection: an unchecked non-positive or absurd size would panic or
+// exhaust the host on the engine goroutine.
+type args struct {
+	p   Params
+	err error
+}
+
+// ranged reads key with a default, rejecting values outside lo..hi.
+func (a *args) ranged(key string, def, lo, hi int64) int64 {
+	v := a.p.get(key, def)
+	if a.err == nil && (v < lo || v > hi) {
+		a.err = fmt.Errorf("serve: parameter %q = %d outside %d..%d", key, v, lo, hi)
+	}
+	return v
+}
+
+// chunked rejects size elements cut into chunks of at most chunk elements
+// when that plans more than maxChunks chunks; key names the parameter to
+// blame.
+func (a *args) chunked(key string, size, chunk int64) {
+	if a.err != nil {
+		return
+	}
+	if n := (size-1)/chunk + 1; n > maxChunks {
+		a.err = fmt.Errorf("serve: parameter %q: %d in chunks of %d plans %d chunks, over the cap of %d", key, size, chunk, n, maxChunks)
+	}
+}
+
 // DefaultCatalog serves the three streaming benchmarks that make sense as
 // ad-hoc queries: word-occurrence counts, one k-means iteration, and the
 // sparse-integer scan. (MM and LR are excluded: their inputs are dense
 // matrices a submission could not meaningfully parameterize by size alone.)
 func DefaultCatalog(phys int) *Catalog {
 	c := NewCatalog(phys)
-	// maxData bounds any virtual dataset size: large enough for paper-scale
-	// runs (1 TB), small enough that chunk lists stay addressable.
-	const maxData = 1 << 40
 	c.Register("wo", Builder{ // word-occurrence count over a seeded corpus
 		Keys: []string{"bytes", "gpus", "seed", "dict"},
 		Build: func(name string, p Params) (core.Runnable, error) {
-			bytes, err := p.ranged("bytes", 4<<20, 1, maxData)
-			if err != nil {
-				return nil, err
+			a := args{p: p}
+			bytes, gpus, dict := a.ranged("bytes", 4<<20, 1, maxData), a.ranged("gpus", 2, 1, 4096), a.ranged("dict", 2048, 1, maxDict)
+			a.chunked("bytes", bytes, woChunk)
+			if a.err != nil {
+				return nil, a.err
 			}
-			gpus, err := p.ranged("gpus", 2, 1, 4096)
-			if err != nil {
-				return nil, err
-			}
-			dict, err := p.ranged("dict", 2048, 1, 1<<24)
-			if err != nil {
-				return nil, err
-			}
-			b := wo.NewJob(wo.Params{
+			b, err := wo.BuildJob(wo.Params{
 				Bytes:    bytes,
 				GPUs:     int(gpus),
 				Seed:     uint64(p.get("seed", 1)),
 				PhysMax:  c.phys,
+				ChunkCap: woChunk,
 				DictSize: int(dict),
 			})
+			if err != nil {
+				return nil, err
+			}
 			b.Job.Config.Name = name
 			return &core.Scheduled[uint32]{Job: b.Job}, nil
 		},
@@ -148,24 +178,19 @@ func DefaultCatalog(phys int) *Catalog {
 	c.Register("kmc", Builder{ // one k-means clustering iteration over seeded points
 		Keys: []string{"points", "gpus", "seed", "centers"},
 		Build: func(name string, p Params) (core.Runnable, error) {
-			points, err := p.ranged("points", 4<<20, 1, maxData)
-			if err != nil {
-				return nil, err
-			}
-			gpus, err := p.ranged("gpus", 2, 1, 4096)
-			if err != nil {
-				return nil, err
-			}
-			centers, err := p.ranged("centers", 0, 0, 1<<20) // 0 = default
-			if err != nil {
-				return nil, err
+			a := args{p: p}
+			points, gpus, centers := a.ranged("points", 4<<20, 1, maxData), a.ranged("gpus", 2, 1, 4096), a.ranged("centers", 0, 0, maxCenters) // 0 = default
+			a.chunked("points", points, kmcChunk)
+			if a.err != nil {
+				return nil, a.err
 			}
 			b := kmc.NewJob(kmc.Params{
-				Points:  points,
-				GPUs:    int(gpus),
-				Seed:    uint64(p.get("seed", 1)),
-				Centers: int(centers),
-				PhysMax: c.phys,
+				Points:   points,
+				GPUs:     int(gpus),
+				Seed:     uint64(p.get("seed", 1)),
+				Centers:  int(centers),
+				PhysMax:  c.phys,
+				ChunkCap: kmcChunk,
 			})
 			b.Job.Config.Name = name
 			return &core.Scheduled[float64]{Job: b.Job}, nil
@@ -174,17 +199,15 @@ func DefaultCatalog(phys int) *Catalog {
 	c.Register("sio", Builder{ // sparse-integer occurrence scan
 		Keys: []string{"elements", "gpus", "seed", "chunkcap"},
 		Build: func(name string, p Params) (core.Runnable, error) {
-			elements, err := p.ranged("elements", 8<<20, 1, maxData)
-			if err != nil {
-				return nil, err
+			a := args{p: p}
+			elements, gpus, chunkcap := a.ranged("elements", 8<<20, 1, maxData), a.ranged("gpus", 4, 1, 4096), a.ranged("chunkcap", 0, 0, maxData) // 0 = default
+			if chunkcap == 0 {
+				a.chunked("elements", elements, sioChunk)
+			} else {
+				a.chunked("chunkcap", elements, chunkcap) // the submitter's chunk size is to blame
 			}
-			gpus, err := p.ranged("gpus", 4, 1, 4096)
-			if err != nil {
-				return nil, err
-			}
-			chunkcap, err := p.ranged("chunkcap", 0, 0, maxData) // 0 = default
-			if err != nil {
-				return nil, err
+			if a.err != nil {
+				return nil, a.err
 			}
 			job, _ := sio.NewJob(sio.Params{
 				Elements: elements,

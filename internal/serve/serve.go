@@ -999,10 +999,10 @@ type ReplayOptions struct {
 	Catalog *Catalog
 	// Workers selects the kernel-execution backend (cluster.Config.Workers).
 	Workers int
-	// Shards selects the engine sharding (cluster.Config.Shards): 0 keeps
-	// the legacy single-engine replay, n >= 1 runs n shards, negative one
-	// per node plus the hub. Replays at any shard count >= 1 are mutually
-	// byte-identical; a live run and its replay must use the same setting.
+	// Shards selects the engine sharding (cluster.Config.Shards; only tests
+	// set it): 0 is the single engine every program runs, n >= 1 runs n
+	// shards, negative one per node plus the hub. Shard counts >= 1 agree
+	// with each other, not with 0; a live run and its replay must match.
 	Shards int
 	// Obs, when set, records the replay's flight-recorder trace (see
 	// internal/obs). Recording does not perturb the replay: reports stay

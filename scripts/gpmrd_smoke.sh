@@ -2,7 +2,8 @@
 # End-to-end smoke for the gpmrd online job service:
 #   1. start the daemon with trace recording,
 #   2. submit a small job stream over HTTP (mixed tenants and kinds,
-#      including a rejected submission),
+#      including two rejected submissions, one of them an oversized
+#      dictionary that used to crash the daemon),
 #   3. poll every job to a terminal state,
 #   4. drain via SIGINT and capture the live report from stdout,
 #   5. replay the recorded arrival trace offline,
@@ -39,6 +40,12 @@ submit() {
 [ "$(submit '{"tenant":"bob","kind":"wo","params":{"bytes":1048576,"gpus":2,"seed":4}}')" = 202 ]
 # Invalid kind: rejected at admission, recorded in the trace all the same.
 [ "$(submit '{"tenant":"eve","kind":"nope"}')" = 400 ]
+# A dictionary too large to build used to panic the daemon from inside the
+# engine: it must be a 400 naming the parameter, with the daemon still up.
+curl -sS -X POST "$base/jobs" -d '{"tenant":"eve","kind":"wo","params":{"dict":4194304}}' \
+  -o "$workdir/dict.json" -w '%{http_code}' >"$workdir/dict.code"
+[ "$(cat "$workdir/dict.code")" = 400 ] && grep -qF 'parameter \"dict\"' "$workdir/dict.json"
+curl -fsS "$base/healthz" >/dev/null
 
 # Poll every submitted job to a terminal state.
 for i in $(seq 1 200); do
@@ -55,7 +62,7 @@ done
 # the first match.)
 curl -fsS "$base/metrics" >"$workdir/metrics.txt"
 grep -q '^gpmr_serve_done_total 4' "$workdir/metrics.txt"
-grep -q 'gpmr_serve_rejected_total{reason="invalid"} 1' "$workdir/metrics.txt"
+grep -q 'gpmr_serve_rejected_total{reason="invalid"} 2' "$workdir/metrics.txt"
 grep -q 'gpmr_serve_wait_seconds_bucket{le="+Inf"} 4' "$workdir/metrics.txt"
 grep -q '^gpmr_serve_service_seconds_count 4' "$workdir/metrics.txt"
 
