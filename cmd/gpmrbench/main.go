@@ -9,19 +9,12 @@
 //	gpmrbench -exp all                  # everything (default)
 //	gpmrbench -exp fig3 -bench sio      # one figure, one benchmark
 //	gpmrbench -exp table2 -phys 1048576 # higher functional fidelity
-//	gpmrbench -exp multijob -workers 4  # kernel work on 4 host cores
 //
 // Larger -phys materializes more physical data per run (slower, more
 // faithful functionally); simulated costs always use paper-scale sizes.
-//
-// -workers selects the kernel-execution backend: 0 (default) runs every
-// kernel's functional closure inline on its simulated GPU process, N >= 1
-// dispatches closures to a pool of N real worker goroutines, and -1 uses
-// one worker per host core. Results and traces are byte-identical across
-// backends — the pool only cuts the harness's wall-clock by running
-// map/sort/reduce work from different simulated GPUs concurrently. Every
-// run simulates on one DES event loop, so every number printed comes
-// from the one engine schedule.
+// Every run simulates on one DES event loop with every kernel's
+// functional closure inline on its simulated GPU process, so every number
+// printed comes from the one engine schedule.
 //
 // -trace records every run on the virtual-time flight recorder and writes
 // the recording as Chrome trace-event JSON — open it in Perfetto
@@ -58,14 +51,13 @@ func main() {
 	benchName := flag.String("bench", "", "benchmark for fig3/weak (mm|sio|wo|kmc|lr; empty = all)")
 	phys := flag.Int("phys", 1<<16, "physical element budget per run")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", 0, "kernel-execution workers: 0 = serial, N = pool(N), -1 = pool(all cores)")
 	tracePath := flag.String("trace", "", "write the runs' flight recording as Chrome trace-event JSON (load in Perfetto)")
 	explain := flag.String("explain", "", "print phase breakdowns after the runs: a job name, or \"all\" (implies recording)")
 	cpuProf := flag.String("cpuprofile", "", "write a host CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a host heap profile to this file")
 	flag.Parse()
 
-	o := bench.Options{PhysBudget: *phys, Seed: *seed, Workers: *workers}
+	o := bench.Options{PhysBudget: *phys, Seed: *seed}
 	if *tracePath != "" || *explain != "" {
 		o.Obs = obs.New()
 	}

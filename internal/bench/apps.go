@@ -170,12 +170,10 @@ func lrJob(p lr.Params, o Options) *core.Job[float64] {
 }
 
 // exclusive points a job that runs alone on its own cluster at the
-// harness's kernel backend and flight recorder. With runExclusive it is
-// the one seam every exclusive run goes through — no other line of the
-// harness sets either field — which is what makes -workers, -trace and
-// -explain reach every experiment.
+// harness's flight recorder. With runExclusive it is the one seam every
+// exclusive run goes through — no other line of the harness sets the
+// field — which is what makes -trace and -explain reach every experiment.
 func exclusive[V any](o Options, job *core.Job[V]) *core.Job[V] {
-	job.Config.Workers = o.Workers
 	job.Config.Obs = o.Obs
 	return job
 }
@@ -194,7 +192,7 @@ func traceOf[V any](o Options, job *core.Job[V]) (*core.Trace, error) {
 }
 
 // runMM runs MM's two-job pipeline and combines the two traces into one
-// for reporting. The second job inherits the first's backend and recorder
+// for reporting. The second job inherits the first's recorder
 // (see mm.Built.Run).
 func runMM(size int64, gpus int, o Options) (*core.Trace, error) {
 	b, err := mm.New(mm.Params{Dim: size, GPUs: gpus, Seed: o.Seed})

@@ -47,17 +47,13 @@ const submitTrace = "testdata/gpmrd_submit.jsonl"
 type command struct {
 	argv, trace string
 	full        bool // in the second half: checked only with -tags identity
-	// sameOut and sameTrace name the cells the two must equal: the
-	// equality classes, which -update refuses to split.
-	sameOut, sameTrace string
+	// sameOut names the cell stdout must equal: an equality class, which
+	// -update refuses to split.
+	sameOut string
 	// run writes what the binary writes to stdout, and the -trace file
 	// (if any) at tracePath.
 	run func(stdout *bytes.Buffer, tracePath string) error
 }
-
-// scheduled are the experiments that read -workers through a scheduler;
-// the others run each job alone.
-var scheduled = []string{"multijob", "online", "slo", "fleet"}
 
 // gpmrbench is `gpmrbench -exp <e.Name> …` at o, recorded to trace when
 // it is set: Experiments[i].Run, the blank line, then Obs.Finish, as
@@ -66,9 +62,6 @@ func gpmrbench(e Experiment, o Options, trace string) command {
 	argv := fmt.Sprintf("gpmrbench -exp %s -seed %d", e.Name, o.Seed)
 	if o.PhysBudget != 1<<16 {
 		argv += fmt.Sprintf(" -phys %d", o.PhysBudget)
-	}
-	if o.Workers != 0 {
-		argv += fmt.Sprintf(" -workers %d", o.Workers)
 	}
 	if trace != "" {
 		argv += " -trace " + trace
@@ -117,17 +110,10 @@ func gpmrdReplay() command {
 	}}
 }
 
-// like puts c in the equality class of stdout (and of the trace file
-// trace, if c writes one).
-func like(c command, stdout, trace string) command {
-	c.sameOut, c.sameTrace = stdout, trace
-	return c
-}
-
 // commands is the manifest, in order. Its first block is the data-path
 // acceptance loop: every experiment but table4 (which counts source lines,
 // so it moves with every app edit) at seeds 1 and 7, at -phys 4096 and the
-// default budget, the scheduled four again on a four-worker pool.
+// default budget.
 func commands() []command {
 	var cs []command
 	for _, phys := range []int{4096, 1 << 16} {
@@ -136,25 +122,16 @@ func commands() []command {
 				if e.Name == "table4" {
 					continue
 				}
-				o := Options{PhysBudget: phys, Seed: seed}
-				serial := gpmrbench(e, o, "")
-				cs = append(cs, serial)
-				if slices.Contains(scheduled, e.Name) {
-					o.Workers = 4
-					cs = append(cs, like(gpmrbench(e, o, ""), serial.argv, ""))
-				}
+				cs = append(cs, gpmrbench(e, Options{PhysBudget: phys, Seed: seed}, ""))
 			}
 		}
 	}
 
-	// multijob's recording on either backend: the report is the
-	// unrecorded one, and the trace file agrees across backends.
+	// multijob's recording: the report is the unrecorded one.
 	multijob := Experiments[slices.IndexFunc(Experiments, func(e Experiment) bool { return e.Name == "multijob" })]
-	for _, workers := range []int{0, 4} {
-		o := Options{PhysBudget: 4096, Seed: 1, Workers: workers}
-		c := gpmrbench(multijob, o, fmt.Sprintf("multijob_shards0_w%d.json", workers))
-		cs = append(cs, like(c, "gpmrbench -exp multijob -seed 1 -phys 4096", "multijob_shards0_w0.json"))
-	}
+	traced := gpmrbench(multijob, Options{PhysBudget: 4096, Seed: 1}, "multijob_shards0_w0.json")
+	traced.sameOut = "gpmrbench -exp multijob -seed 1 -phys 4096"
+	cs = append(cs, traced)
 	cs = append(cs, gpmrdReplay())
 	return append(cs, gpmrsim("kmc", 8), gpmrsim("wo", 8))
 }
@@ -227,11 +204,9 @@ func TestIdentity(t *testing.T) {
 
 	// The classes hold whatever the manifest says.
 	for _, c := range cmds {
-		for _, pair := range [][2]string{{c.argv, c.sameOut}, {c.trace, c.sameTrace}} {
-			a, b := got[pair[0]], got[pair[1]]
-			if pair[1] != "" && a != "" && b != "" && a != b {
-				t.Errorf("equality class split: %q prints other bytes than %q", pair[0], pair[1])
-			}
+		a, b := got[c.argv], got[c.sameOut]
+		if c.sameOut != "" && a != "" && b != "" && a != b {
+			t.Errorf("equality class split: %q prints other bytes than %q", c.argv, c.sameOut)
 		}
 	}
 	checkDocs(t, cmds, stdout)

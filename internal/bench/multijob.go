@@ -75,9 +75,6 @@ type MultijobRow struct {
 func Multijob(o Options) ([]MultijobRow, []*sched.ClusterTrace, error) {
 	o = o.withDefaults()
 	cc := cluster.DefaultConfig(MultijobGPUs)
-	// The shared machine's kernel-execution backend: with a pool, kernels
-	// from co-resident tenants occupy real host cores concurrently.
-	cc.Workers = o.Workers
 	cc.Obs = o.Obs
 	var rows []MultijobRow
 	var traces []*sched.ClusterTrace

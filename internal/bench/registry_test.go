@@ -12,9 +12,8 @@ import (
 // experiment that simulates records events, and none prints a different
 // byte for it — each recorded report hashes to identity.sum's line for
 // the same command without a recorder, which TestIdentity holds to the
-// unrecorded run. (Ablation, Faults and Imbalance used to copy Workers
-// into their jobs' configs but not Obs, so -trace and -explain came back
-// empty for them.)
+// unrecorded run. (Ablation, Faults and Imbalance once left Obs out of
+// their jobs' configs, so -trace and -explain came back empty for them.)
 func TestRecordingReachesEveryExperiment(t *testing.T) {
 	want, err := readManifest()
 	if err != nil {

@@ -27,11 +27,6 @@ type Options struct {
 	GPUCounts []int
 	// Seed for workload generation.
 	Seed uint64
-	// Workers selects the kernel-execution backend for every experiment's
-	// jobs (see core.Config.Workers): 0 = serial, n >= 1 = pool(n),
-	// negative = pool(GOMAXPROCS). Results are byte-identical across
-	// backends; only harness wall-clock changes.
-	Workers int
 	// Obs, when set, records every run's flight-recorder trace (see
 	// internal/obs). Recording does not perturb results: all rendered
 	// output is byte-identical with and without it.
@@ -53,13 +48,12 @@ func (o Options) withDefaults() Options {
 
 // replayCell replays one cell of a scheduled experiment (online, slo,
 // fleet) — a trace header plus arrival events — through serve's offline
-// path on the harness's kernel backend and flight recorder. Every cell runs four-GPU nodes at the harness's physical
+// path on the harness's flight recorder, four-GPU nodes and physical
 // budget. prefix keeps the cell's recorder streams distinct from every
 // other cell's in one trace file; it is cleared again on return.
 func (o Options) replayCell(prefix string, h serve.Header, evs []serve.Event) (*serve.Report, error) {
 	h.Version, h.GPUsPerNode, h.PhysBudget = serve.TraceVersion, 4, o.PhysBudget
 	o.Obs.SetPrefix(prefix)
 	defer o.Obs.SetPrefix("")
-	return serve.Replay(&serve.Trace{Header: h, Events: evs},
-		serve.ReplayOptions{Workers: o.Workers, Obs: o.Obs})
+	return serve.Replay(&serve.Trace{Header: h, Events: evs}, serve.ReplayOptions{Obs: o.Obs})
 }

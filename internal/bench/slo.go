@@ -18,7 +18,7 @@ import (
 // Both cells see byte-identical arrivals, so the table isolates what the
 // scheduling upgrades buy: deadline attainment per class against the
 // shed/reject rate. Every run goes through serve's deterministic replay
-// path, so the table is bit-identical across runs and backends.
+// path, so the table is bit-identical across runs.
 
 // SLOGPUs is the shared cluster for the SLO sweep.
 const SLOGPUs = 16

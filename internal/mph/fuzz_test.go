@@ -30,9 +30,8 @@ func FuzzBuildPerfect(f *testing.F) {
 		table, err := Build(words)
 		if err != nil {
 			// Construction may legitimately fail only by exhausting
-			// displacement seeds, which the fixed iteration cap reports
-			// as an error; accepting that is fine, silent corruption is
-			// not.
+			// displacement seeds, which the iteration cap reports as an
+			// error; accepting that is fine, silent corruption is not.
 			t.Skipf("build failed: %v", err)
 		}
 		if table.Len() != len(words) {

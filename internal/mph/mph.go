@@ -12,6 +12,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -67,9 +68,17 @@ func Build(words []string) (*Table, error) {
 	next := slices.Clone(start[:nBuckets])
 	for i, w := range words {
 		b := bucketOf[i]
+		// Equal words share a bucket and no seed can separate them, so
+		// name a repeat before any seed search.
+		if slices.Contains(flat[start[b]:next[b]], w) {
+			return nil, fmt.Errorf("mph: word %q appears more than once", w)
+		}
 		flat[next[b]] = w
 		next[b]++
 	}
+	// At full load the last single-word buckets need about n tries each;
+	// 32n tries fail with odds near e^-32.
+	maxSeed := int32(min(max(1<<22, 32*int64(n)), math.MaxInt32-1))
 	// Largest buckets first (they have the fewest seed choices), ties by
 	// bucket index.
 	order := make([]int32, nBuckets)
@@ -87,8 +96,8 @@ func Build(words []string) (*Table, error) {
 		}
 	seedSearch:
 		for seed := int32(1); ; seed++ {
-			if seed > 1<<22 {
-				return nil, fmt.Errorf("mph: no displacement found for bucket of %d words (duplicate words?)", len(bucket))
+			if seed > maxSeed {
+				return nil, fmt.Errorf("mph: no displacement found for bucket of %d words in %d seeds", len(bucket), maxSeed)
 			}
 			marks = marks[:0]
 			for _, w := range bucket {

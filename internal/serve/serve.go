@@ -243,6 +243,7 @@ func (s *Stats) clone() Stats {
 
 // Config shapes one service instance.
 type Config struct {
+	// Cluster must leave Shards at 0: the service runs the single engine.
 	Cluster cluster.Config
 	Policy  sched.Policy
 	Catalog *Catalog
@@ -333,6 +334,11 @@ type session struct {
 func newSession(cfg Config) (*session, error) {
 	if cfg.Catalog == nil {
 		return nil, errors.New("serve: config needs a Catalog")
+	}
+	// A trace header cannot record a shard count, so a sharded live run
+	// would not replay to its own report.
+	if cfg.Cluster.Shards != 0 {
+		return nil, fmt.Errorf("serve: Cluster.Shards = %d; the service runs the single engine (Shards 0)", cfg.Cluster.Shards)
 	}
 	sch, err := sched.New(cfg.Cluster, cfg.Policy)
 	if err != nil {
@@ -997,13 +1003,6 @@ type ReplayOptions struct {
 	// physical budget. It must match the catalog the live run used, or
 	// replayed outputs will (detectably) diverge.
 	Catalog *Catalog
-	// Workers selects the kernel-execution backend (cluster.Config.Workers).
-	Workers int
-	// Shards selects the engine sharding (cluster.Config.Shards; only tests
-	// set it): 0 is the single engine every program runs, n >= 1 runs n
-	// shards, negative one per node plus the hub. Shard counts >= 1 agree
-	// with each other, not with 0; a live run and its replay must match.
-	Shards int
 	// Obs, when set, records the replay's flight-recorder trace (see
 	// internal/obs). Recording does not perturb the replay: reports stay
 	// byte-identical with and without it.
@@ -1036,7 +1035,7 @@ func replaySession(tr *Trace, opt ReplayOptions) (*session, des.Time, error) {
 	if tr.Header.GPUsPerNode > 0 {
 		cc.GPUsPerNode = tr.Header.GPUsPerNode
 	}
-	cc.Workers, cc.Shards, cc.Obs = opt.Workers, opt.Shards, opt.Obs
+	cc.Obs = opt.Obs
 	cat := opt.Catalog
 	if cat == nil {
 		cat = DefaultCatalog(tr.Header.PhysBudget)
