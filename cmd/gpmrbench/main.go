@@ -112,5 +112,8 @@ func main() {
 		check(pprof.WriteHeapProfile(f))
 		check(f.Close())
 	}
-	check(o.Obs.Finish(out, "gpmrbench", *explain, *tracePath))
+	check(o.Obs.Finish(out, *explain, *tracePath))
+	if *tracePath != "" {
+		fmt.Fprintf(os.Stderr, "gpmrbench: flight recording (%d events) written to %s\n", o.Obs.Len(), *tracePath)
+	}
 }

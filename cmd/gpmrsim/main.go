@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/bench"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -26,12 +27,17 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	ranks := flag.Bool("ranks", false, "print per-rank traces")
 	tracePath := flag.String("trace", "", "write the job's flight recording as Chrome trace-event JSON (load in Perfetto)")
-	summary := flag.Bool("summary", false, "print the flight recording's utilization and critical-path summary (implies recording)")
 	explain := flag.Bool("explain", false, "print the job's phase breakdown and bottleneck attribution (implies recording)")
 	flag.Parse()
 	o := bench.Options{PhysBudget: *phys, Seed: *seed}
-	if err := bench.Sim(os.Stdout, *benchName, *size, *gpus, *ranks, *summary, *explain, *tracePath, o); err != nil {
+	if *tracePath != "" || *explain {
+		o.Obs = obs.New()
+	}
+	if err := bench.Sim(os.Stdout, *benchName, *size, *gpus, *ranks, *explain, *tracePath, o); err != nil {
 		fmt.Fprintf(os.Stderr, "gpmrsim: %v\n", err)
 		os.Exit(1)
+	}
+	if *tracePath != "" {
+		fmt.Fprintf(os.Stderr, "gpmrsim: flight recording (%d events) written to %s\n", o.Obs.Len(), *tracePath)
 	}
 }

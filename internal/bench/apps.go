@@ -13,7 +13,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/gpu"
 	"repro/internal/mars"
-	"repro/internal/obs"
 	"repro/internal/phoenix"
 	"repro/internal/workload"
 )
@@ -251,11 +250,9 @@ func Run(benchName string, size int64, gpus int, o Options) (des.Time, *core.Tra
 
 // Sim runs one benchmark job and writes gpmrsim's report to w: wall time,
 // stage breakdown and data movement, then as asked the per-rank traces,
-// the recording's summary, its explain breakdown and its Chrome trace.
-func Sim(w io.Writer, benchName string, size int64, gpus int, ranks, summary, explain bool, tracePath string, o Options) error {
-	if tracePath != "" || summary || explain {
-		o.Obs = obs.New()
-	}
+// the explain breakdown and the Chrome trace. Explain and the trace read
+// the recording in o.Obs, which the caller sets when it asks for either.
+func Sim(w io.Writer, benchName string, size int64, gpus int, ranks, explain bool, tracePath string, o Options) error {
 	wall, tr, err := Run(benchName, size, gpus, o)
 	if err != nil {
 		return err
@@ -275,12 +272,9 @@ func Sim(w io.Writer, benchName string, size int64, gpus int, ranks, summary, ex
 				rt.ChunksMapped, rt.ChunksStolen, rt.OutOfCore)
 		}
 	}
-	if summary {
-		fmt.Fprint(w, obs.Summarize(o.Obs.Canonical()).String())
-	}
 	which := ""
 	if explain {
 		which = "all"
 	}
-	return o.Obs.Finish(w, "gpmrsim", which, tracePath)
+	return o.Obs.Finish(w, which, tracePath)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/apps/mm"
 	"repro/internal/apps/sio"
 	"repro/internal/apps/wo"
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -33,13 +35,13 @@ func backendName(workers int) string {
 }
 
 // backendRun is one cell's observable outcome: the job's canonical result
-// bytes and its full golden trace rendering. The differential harness
-// demands both be byte-identical across backends — the trace includes
-// every simulated timestamp, stage breakdown, steal decision, and byte
-// counter, so equality pins the entire DES schedule, not just the answer.
+// bytes and its traces. The differential harness demands both be
+// identical across backends — a trace holds every rank's stage stamps,
+// steal, fault and recovery counters and byte counters, so equality pins
+// the entire DES schedule, not just the answer.
 type backendRun struct {
 	result []byte
-	trace  string
+	trace  []core.Trace
 }
 
 // diffApps is the app matrix of the backend differential harness. Each
@@ -53,25 +55,25 @@ var diffApps = []struct {
 		b := wo.NewJob(wo.Params{Bytes: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, DictSize: 1000, ChunkCap: 1 << 18})
 		b.Job.Config.Workers = workers
 		res := b.Job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return backendRun{result: canonBytes(t, res.PerRank), trace: []core.Trace{*res.Trace}}
 	}},
 	{"sio", func(t *testing.T, gpus, workers int) backendRun {
 		job, _ := sio.NewJob(sio.Params{Elements: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 14, ChunkCap: 1 << 19})
 		job.Config.Workers = workers
 		res := job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return backendRun{result: canonBytes(t, res.PerRank), trace: []core.Trace{*res.Trace}}
 	}},
 	{"kmc", func(t *testing.T, gpus, workers int) backendRun {
 		b := kmc.NewJob(kmc.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12})
 		b.Job.Config.Workers = workers
 		res := b.Job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return backendRun{result: canonBytes(t, res.PerRank), trace: []core.Trace{*res.Trace}}
 	}},
 	{"lr", func(t *testing.T, gpus, workers int) backendRun {
 		b := lr.NewJob(lr.Params{Points: 4 << 20, GPUs: gpus, Seed: 1, PhysMax: 1 << 12})
 		b.Job.Config.Workers = workers
 		res := b.Job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return backendRun{result: canonBytes(t, res.PerRank), trace: []core.Trace{*res.Trace}}
 	}},
 	{"mm", func(t *testing.T, gpus, workers int) backendRun {
 		b, err := mm.New(mm.Params{Dim: 1024, GPUs: gpus, Seed: 1})
@@ -83,13 +85,13 @@ var diffApps = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return backendRun{result: mmCanonBytes(t, perRank), trace: tr1.String() + "\n" + tr2.String()}
+		return backendRun{result: mmCanonBytes(t, perRank), trace: []core.Trace{*tr1, *tr2}}
 	}},
 }
 
 // TestBackendDifferentialMatrix is the differential identity harness:
 // every app (WO, SIO, KMC, MM, LR) at 1, 4, and 8 GPUs must produce
-// byte-identical results and identical golden traces on the Serial,
+// byte-identical results and identical traces on the Serial,
 // Pool(1), and Pool(NumCPU) backends. The pool moves kernels' functional
 // work onto concurrent host goroutines; nothing observable may change.
 // Tier-1 runs one cell per app, 8 GPUs on Pool(NumCPU) against Serial;
@@ -115,8 +117,8 @@ func TestBackendDifferentialMatrix(t *testing.T) {
 					if !bytes.Equal(got.result, want.result) {
 						t.Errorf("%d GPUs: %s result bytes diverge from serial", gpus, backendName(workers))
 					}
-					if got.trace != want.trace {
-						t.Errorf("%d GPUs: %s golden trace diverges from serial:\n--- serial\n%s\n--- %s\n%s",
+					if !reflect.DeepEqual(got.trace, want.trace) {
+						t.Errorf("%d GPUs: %s trace diverges from serial:\n--- serial\n%+v\n--- %s\n%+v",
 							gpus, backendName(workers), want.trace, backendName(workers), got.trace)
 					}
 				}
@@ -163,7 +165,7 @@ func TestBackendDifferentialFaults(t *testing.T) {
 			fault.SlowdownAfterChunks(5, 1, 8),
 		}}
 		res := job.MustRun()
-		return backendRun{result: canonBytes(t, res.PerRank), trace: res.Trace.String()}
+		return backendRun{result: canonBytes(t, res.PerRank), trace: []core.Trace{*res.Trace}}
 	}
 	want := run(0)
 	for _, workers := range backendPoints()[1:] {
@@ -171,8 +173,8 @@ func TestBackendDifferentialFaults(t *testing.T) {
 		if !bytes.Equal(got.result, want.result) {
 			t.Errorf("%s fault-run result bytes diverge from serial", backendName(workers))
 		}
-		if got.trace != want.trace {
-			t.Errorf("%s fault-run golden trace diverges from serial:\n--- serial\n%s\n--- got\n%s",
+		if !reflect.DeepEqual(got.trace, want.trace) {
+			t.Errorf("%s fault-run trace diverges from serial:\n--- serial\n%+v\n--- got\n%+v",
 				backendName(workers), want.trace, got.trace)
 		}
 	}

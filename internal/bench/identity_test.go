@@ -76,7 +76,7 @@ func gpmrbench(e Experiment, o Options, trace string) command {
 				return err
 			}
 			w.WriteByte('\n')
-			return o.Obs.Finish(w, "gpmrbench", "", tracePath)
+			return o.Obs.Finish(w, "", tracePath)
 		}}
 }
 
@@ -85,7 +85,7 @@ func gpmrbench(e Experiment, o Options, trace string) command {
 func gpmrsim(name string, gpus int) command {
 	return command{argv: fmt.Sprintf("gpmrsim -bench %s -gpus %d -ranks -explain", name, gpus), full: true,
 		run: func(w *bytes.Buffer, _ string) error {
-			return Sim(w, name, 32<<20, gpus, true, false, true, "", Options{PhysBudget: 1 << 16, Seed: 1})
+			return Sim(w, name, 32<<20, gpus, true, true, "", Options{PhysBudget: 1 << 16, Seed: 1, Obs: obs.New()})
 		}}
 }
 

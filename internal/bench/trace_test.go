@@ -3,8 +3,12 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/des"
 	"repro/internal/obs"
 )
 
@@ -28,16 +32,18 @@ func TestTracingDoesNotPerturbRunTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.String() != traced.String() {
-		t.Errorf("golden Trace.String differs with tracing on:\n--- off\n%s\n--- on\n%s",
-			plain.String(), traced.String())
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("trace differs with tracing on:\n--- off\n%+v\n--- on\n%+v", plain, traced)
 	}
 }
 
+// TestChromeExportAndSummary checks the two readings of one recorded job:
+// the Chrome export, and explain's summary of the job, which must agree
+// with the run's own trace.
 func TestChromeExportAndSummary(t *testing.T) {
 	o := traceOpts()
 	o.Obs = obs.New()
-	wall, _, err := Run("sio", 8<<20, 4, o)
+	_, tr, err := Run("sio", 8<<20, 4, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,55 +77,43 @@ func TestChromeExportAndSummary(t *testing.T) {
 		t.Errorf("chrome export has %d metadata and %d span events, want >= 2 and > 0", metas, spans)
 	}
 
-	// The post-processed summary must reconstruct the run: makespan,
-	// bounded per-stream utilization, per-phase percentiles over the 4
-	// ranks, and a non-trivial critical path ending at the makespan.
-	sum := obs.Summarize(o.Obs.Canonical())
-	if sum.MakespanNs <= 0 {
-		t.Fatalf("summary makespan %d, want > 0", sum.MakespanNs)
+	// Explain must reconstruct the run: the bare job's latency is the
+	// wall time, its phases partition the latency, and its map, shuffle,
+	// sort and reduce ends are the critical rank's RankTrace stamps.
+	evs := o.Obs.Canonical()
+	keys := obs.Jobs(evs)
+	if len(keys) != 1 || keys[0] != (obs.JobKey{Name: "sio"}) {
+		t.Fatalf("recorded jobs %+v, want the one bare sio job", keys)
 	}
-	if got := sum.MakespanNs; got > int64(wall) {
-		t.Errorf("summary makespan %d exceeds job wall %d", got, int64(wall))
+	ex := obs.Explain(evs, keys[0])
+	if ex.LatencyNs != int64(tr.Wall) {
+		t.Errorf("explained latency %d, wall %d", ex.LatencyNs, int64(tr.Wall))
 	}
-	if len(sum.Streams) == 0 {
-		t.Fatal("summary has no streams")
-	}
-	var busy bool
-	for _, s := range sum.Streams {
-		if s.Util < 0 || s.Util > 1 {
-			t.Errorf("stream %s utilization %f out of [0,1]", s.Stream, s.Util)
+	ends := map[string]int64{}
+	var sum int64
+	cur := ex.ArrivalNs
+	for _, p := range ex.Phases {
+		if p.StartNs != cur {
+			t.Errorf("phase %s starts at %d, the previous one ends at %d", p.Name, p.StartNs, cur)
 		}
-		if s.Util > 0 {
-			busy = true
+		cur = p.EndNs
+		sum += p.DurNs
+		ends[p.Name] = p.EndNs
+	}
+	if sum != ex.LatencyNs || cur != ex.FinishNs {
+		t.Errorf("phases sum to %d and end at %d; latency %d, finish %d", sum, cur, ex.LatencyNs, ex.FinishNs)
+	}
+	k, err := strconv.Atoi(strings.TrimPrefix(ex.CriticalRank, "sio/r"))
+	if err != nil || k >= len(tr.Ranks) {
+		t.Fatalf("critical rank %q is not one of %d ranks", ex.CriticalRank, len(tr.Ranks))
+	}
+	rt := tr.Ranks[k]
+	for _, c := range []struct {
+		phase string
+		stamp des.Time
+	}{{"map", rt.MapDone}, {"shuffle", rt.ShuffleDone}, {"sort", rt.SortDone}, {"reduce", rt.ReduceDone}} {
+		if ends[c.phase] != int64(c.stamp) {
+			t.Errorf("%s ends at %d, rank %d's stamp is %d", c.phase, ends[c.phase], k, int64(c.stamp))
 		}
-	}
-	if !busy {
-		t.Error("no stream shows any utilization")
-	}
-	phases := map[string]obs.PhaseStats{}
-	for _, p := range sum.Phases {
-		phases[p.Kind] = p
-	}
-	for _, kind := range []string{"phase.map", "phase.shuffle", "phase.sort", "phase.reduce"} {
-		p, ok := phases[kind]
-		if !ok {
-			t.Errorf("summary is missing %s", kind)
-			continue
-		}
-		if p.Count != 4 {
-			t.Errorf("%s count %d, want 4 (one per rank)", kind, p.Count)
-		}
-		if p.P50Ns > p.P95Ns || p.P95Ns > p.P99Ns {
-			t.Errorf("%s percentiles not monotone: p50 %d p95 %d p99 %d", kind, p.P50Ns, p.P95Ns, p.P99Ns)
-		}
-	}
-	if len(sum.Critical.Steps) == 0 {
-		t.Fatal("critical path is empty")
-	}
-	if sum.Critical.EndNs != sum.MakespanNs {
-		t.Errorf("critical path ends at %d, makespan %d", sum.Critical.EndNs, sum.MakespanNs)
-	}
-	if sum.String() == "" {
-		t.Error("summary renders empty")
 	}
 }

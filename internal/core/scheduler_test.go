@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -250,14 +249,5 @@ func TestStealTransferChargedOnFabric(t *testing.T) {
 	if res.Trace.WireBytes < base.Trace.WireBytes+st.RemoteBytes {
 		t.Errorf("wire bytes %d do not cover shuffle %d + stolen %d",
 			res.Trace.WireBytes, base.Trace.WireBytes, st.RemoteBytes)
-	}
-}
-
-func TestStealTraceInString(t *testing.T) {
-	data := smallData(10000, 300)
-	res := skewedJob(data, StealLocalFirst).MustRun()
-	out := res.Trace.String()
-	if !strings.Contains(out, "steals") {
-		t.Errorf("trace summary lacks steal provenance:\n%s", out)
 	}
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/des"
-)
+import "repro/internal/des"
 
 // RankTrace records one GPU process's stage completion timestamps plus
 // bookkeeping counters. The Figure-2 decomposition derives from the
@@ -238,49 +233,4 @@ func maxT(a, b des.Time) des.Time {
 		return a
 	}
 	return b
-}
-
-// String renders a compact human-readable summary: the stage breakdown,
-// fabric totals, steal provenance, per-rank communication accounting, and
-// — when faults were injected — the recovery and speculation counters.
-func (t *Trace) String() string {
-	b := t.Breakdown()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s: %d GPU(s), wall %v\n", t.Name, t.GPUs, t.Wall)
-	fmt.Fprintf(&sb, "  map %.1f%%  bin %.1f%%  sort %.1f%%  reduce %.1f%%  internal %.1f%%\n",
-		b.Map*100, b.CompleteBinning*100, b.Sort*100, b.Reduce*100, b.Internal*100)
-	fmt.Fprintf(&sb, "  wire %.1f MB  local %.1f MB", float64(t.WireBytes)/1e6, float64(t.LocalBytes)/1e6)
-	if st := t.Steals(); st.Total() > 0 {
-		fmt.Fprintf(&sb, "\n  steals %d local (%.1f MB) / %d remote (%.1f MB)",
-			st.LocalSteals, float64(st.LocalBytes)/1e6,
-			st.RemoteSteals, float64(st.RemoteBytes)/1e6)
-	}
-	for r := range t.Ranks {
-		rt := &t.Ranks[r]
-		fmt.Fprintf(&sb, "\n  comm r%d: sent %.1f MB wire / %.1f MB local, recv %.1f / %.1f",
-			r, float64(rt.SentWireBytes)/1e6, float64(rt.SentLocalBytes)/1e6,
-			float64(rt.RecvWireBytes)/1e6, float64(rt.RecvLocalBytes)/1e6)
-		if rt.Failed {
-			fmt.Fprintf(&sb, "  [FAILED @%v]", rt.FailedAt)
-		}
-		if rt.Derated > 1 {
-			fmt.Fprintf(&sb, "  [straggler x%.3g]", rt.Derated)
-		}
-		if rt.ChunksRecovered > 0 {
-			fmt.Fprintf(&sb, "  [recovered %d chunks, %.1f MB]", rt.ChunksRecovered, float64(rt.RecoveredBytes)/1e6)
-		}
-		if rt.RelayBytes > 0 {
-			fmt.Fprintf(&sb, "  [relayed %.1f MB]", float64(rt.RelayBytes)/1e6)
-		}
-	}
-	if rec := t.Recovery(); rec.Active() {
-		fmt.Fprintf(&sb, "\n  faults: %d failed, %d derated; recovery %d chunks re-executed (%.1f MB refetch, %.1f MB relay)",
-			rec.FailedRanks, rec.DeratedRanks, rec.ChunksRecovered,
-			float64(rec.RecoveredBytes)/1e6, float64(rec.RelayBytes)/1e6)
-		if rec.SpecLaunched > 0 || rec.ChunksWasted > 0 || rec.ChunksSkipped > 0 {
-			fmt.Fprintf(&sb, "\n  speculation: %d launched, %d won, %d wasted, %d skipped, %d dups dropped",
-				rec.SpecLaunched, rec.SpecWon, rec.ChunksWasted, rec.ChunksSkipped, rec.DupDropped)
-		}
-	}
-	return sb.String()
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,28 +40,48 @@ func (k JobKey) String() string { return k.Prefix + k.Name }
 // named job (empty prefix): its serve lifecycle, scheduler decisions,
 // and per-rank phases. The per-job timeline endpoint filters with it.
 func JobStreams(name string) func(stream string) bool {
-	k := JobKey{Name: name}
-	return func(stream string) bool { return k.owns(stream) }
+	return JobKey{Name: name}.streams().owns
 }
 
-// owns reports whether stream is one of k's timelines.
-func (k JobKey) owns(stream string) bool {
-	return stream == k.Prefix+"serve/"+k.Name ||
-		stream == k.Prefix+"sched/"+k.Name ||
-		strings.HasPrefix(stream, k.Prefix+k.Name+"/r")
+// jobStreams names one job's timelines; owns is the one test of which
+// streams are the job's, shared by the timeline filter and Explain.
+type jobStreams struct{ serve, sched, rank string }
+
+func (k JobKey) streams() jobStreams {
+	return jobStreams{
+		serve: k.Prefix + "serve/" + k.Name,
+		sched: k.Prefix + "sched/" + k.Name,
+		rank:  k.Prefix + k.Name + "/r",
+	}
+}
+
+// owns reports whether stream is one of the job's timelines. A rank
+// stream is "<name>/r<k>" with k all digits, so "a/rX-wo-7/r0" (a job of
+// tenant "a/rX") is not one of job "a"'s. The prefix is tested first, so
+// only a stream that starts like one of the job's reaches the digit scan.
+func (js jobStreams) owns(stream string) bool {
+	if rest, ok := strings.CutPrefix(stream, js.rank); ok {
+		return digits(rest)
+	}
+	return stream == js.serve || stream == js.sched
+}
+
+// digits reports whether s is a non-empty run of decimal digits.
+func digits(s string) bool {
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return s != ""
 }
 
 // rankName extracts the job name from a per-rank stream "<name>/r<k>",
 // reporting whether s has that shape.
 func rankName(s string) (string, bool) {
 	i := strings.LastIndex(s, "/r")
-	if i <= 0 || i+2 >= len(s) {
+	if i <= 0 || !digits(s[i+2:]) {
 		return "", false
-	}
-	for _, c := range s[i+2:] {
-		if c < '0' || c > '9' {
-			return "", false
-		}
 	}
 	return s[:i], true
 }
@@ -71,10 +92,12 @@ func rankName(s string) (string, bool) {
 // their own keys with the rank suffix stripped.
 func Jobs(evs []Event) []JobKey {
 	seen := make(map[JobKey]bool)
+	named := make(map[string]bool) // every key's prefixed name
 	var keys []JobKey
 	add := func(k JobKey) {
 		if !seen[k] {
 			seen[k] = true
+			named[k.String()] = true
 			keys = append(keys, k)
 		}
 	}
@@ -87,18 +110,7 @@ func Jobs(evs []Event) []JobKey {
 		}
 	}
 	for i := range evs {
-		name, ok := rankName(evs[i].Stream)
-		if !ok {
-			continue
-		}
-		claimed := false
-		for k := range seen {
-			if name == k.Prefix+k.Name {
-				claimed = true
-				break
-			}
-		}
-		if !claimed {
+		if name, ok := rankName(evs[i].Stream); ok && !named[name] {
 			add(JobKey{Name: name})
 		}
 	}
@@ -163,46 +175,33 @@ func ExplainJob(evs []Event, name string) Explanation {
 // map/shuffle/sort/reduce spans, then commit (reduce end to the serve
 // finish stamp). The critical rank is the one whose reduce phase ends
 // last (ties: lexicographically smallest stream). Jobs that never ran
-// collapse to a single wait phase; a restarted job's phases come from
-// its final (successful) placement, with earlier attempts counted in
-// Restarts and left inside wait. Phase segments are clamped monotone, so
-// their durations always sum exactly to FinishNs - ArrivalNs.
+// collapse to a single wait phase; a restarted job's ranks and phases
+// come from its final (successful) placement — rank events from before
+// the last place belong to earlier attempts, which count in Restarts and
+// stay inside wait. Phase segments are clamped monotone, so their
+// durations always sum exactly to FinishNs - ArrivalNs.
 func Explain(evs []Event, k JobKey) Explanation {
-	serveS := k.Prefix + "serve/" + k.Name
-	schedS := k.Prefix + "sched/" + k.Name
-	rankPre := k.Prefix + k.Name + "/r"
-
+	js := k.streams()
 	ex := Explanation{Job: k.String()}
 
 	// One pass: job lifecycle stamps, last placement, per-rank last
 	// phase spans (a restarted rank re-emits its phases; the final
 	// attempt is the one that reached the finish line), and the
 	// disturbance counters.
-	type rankSet struct{ m, sh, so, re Event }
-	type rankHave struct{ m, sh, so, re bool }
-	phases := make(map[string]*rankSet)
-	have := make(map[string]*rankHave)
+	type rankSet struct {
+		m, sh, so, re *Event
+		last          int64 // start of the rank stream's latest event
+	}
+	ranks := make(map[string]*rankSet)
 	var (
-		arriveE, runE, rejectE, cancelE, placeE                Event
-		haveArrive, haveRun, haveReject, haveCancel, havePlace bool
-		places                                                 int
-		minT, maxEnd                                           int64
-		any                                                    bool
+		arriveE, runE, rejectE, cancelE, placeE *Event
+		places                                  int
+		minT, maxEnd                            int64
+		any                                     bool
 	)
 	for i := range evs {
 		e := &evs[i]
-		s := e.Stream
-		var isRank bool
-		if strings.HasPrefix(s, rankPre) {
-			isRank = true
-			for _, c := range s[len(rankPre):] {
-				if c < '0' || c > '9' {
-					isRank = false
-					break
-				}
-			}
-		}
-		if s != serveS && s != schedS && !isRank {
+		if !js.owns(e.Stream) {
 			continue
 		}
 		if !any || e.T < minT {
@@ -212,44 +211,45 @@ func Explain(evs []Event, k JobKey) Explanation {
 			maxEnd = end
 		}
 		any = true
-		switch {
-		case s == serveS:
+		switch e.Stream {
+		case js.serve:
 			switch e.Kind {
 			case "arrive":
-				arriveE, haveArrive = *e, true
+				arriveE = e
 				if ex.TraceID == "" {
 					ex.TraceID = e.Attr("trace")
 				}
 			case "job.run":
-				runE, haveRun = *e, true
+				runE = e
 			case "reject":
-				rejectE, haveReject = *e, true
+				rejectE = e
 			case "cancel":
-				cancelE, haveCancel = *e, true
+				cancelE = e
 			}
-		case s == schedS:
+		case js.sched:
 			switch e.Kind {
 			case "place":
-				placeE, havePlace = *e, true
+				placeE = e
 				places++
 			case "preempt":
 				ex.Preemptions++
 			}
 		default: // rank stream
-			ps, h := phases[s], have[s]
-			if ps == nil {
-				ps, h = &rankSet{}, &rankHave{}
-				phases[s], have[s] = ps, h
+			rs := ranks[e.Stream]
+			if rs == nil {
+				rs = &rankSet{}
+				ranks[e.Stream] = rs
 			}
+			rs.last = e.T
 			switch e.Kind {
 			case "phase.map":
-				ps.m, h.m = *e, true
+				rs.m = e
 			case "phase.shuffle":
-				ps.sh, h.sh = *e, true
+				rs.sh = e
 			case "phase.sort":
-				ps.so, h.so = *e, true
+				rs.so = e
 			case "phase.reduce":
-				ps.re, h.re = *e, true
+				rs.re = e
 			case "recover":
 				ex.Recoveries++
 			case "spec.launch":
@@ -259,7 +259,6 @@ func Explain(evs []Event, k JobKey) Explanation {
 			}
 		}
 	}
-	ex.Ranks = len(phases)
 	if places > 1 {
 		ex.Restarts = places - 1
 	}
@@ -267,35 +266,44 @@ func Explain(evs []Event, k JobKey) Explanation {
 	// Arrival: the serve arrive stamp; bare core runs (no serve stream)
 	// start at their earliest event.
 	switch {
-	case haveArrive:
+	case arriveE != nil:
 		ex.ArrivalNs = arriveE.T
-	case haveRun:
+	case runE != nil:
 		ex.ArrivalNs = runE.T
 	default:
 		ex.ArrivalNs = minT
 	}
 
-	// Critical rank: latest reduce end, ties to the smallest stream.
-	rankStreams := make([]string, 0, len(phases))
-	for s := range phases {
-		rankStreams = append(rankStreams, s)
+	// The final placement's ranks: those with an event at or after the
+	// last place (every rank of a bare run). Critical rank among them:
+	// latest reduce end of this attempt, ties to the smallest stream.
+	from := int64(math.MinInt64)
+	if placeE != nil {
+		from = placeE.T
+	}
+	rankStreams := make([]string, 0, len(ranks))
+	for s, rs := range ranks {
+		if rs.last >= from {
+			rankStreams = append(rankStreams, s)
+		}
 	}
 	sort.Strings(rankStreams)
+	ex.Ranks = len(rankStreams)
 	var crit *rankSet
 	for _, s := range rankStreams {
-		ps, h := phases[s], have[s]
-		if !h.re {
+		rs := ranks[s]
+		if rs.m == nil || rs.sh == nil || rs.so == nil || rs.re == nil || rs.re.T < from {
 			continue
 		}
-		if crit == nil || ps.re.End() > crit.re.End() {
-			crit = ps
+		if crit == nil || rs.re.End() > crit.re.End() {
+			crit = rs
 			ex.CriticalRank = s
 		}
 	}
 
 	// Terminal state and finish stamp.
 	switch {
-	case haveRun:
+	case runE != nil:
 		ex.State = runE.Attr("state")
 		if ex.State == "" {
 			ex.State = "done"
@@ -304,10 +312,10 @@ func Explain(evs []Event, k JobKey) Explanation {
 		if g, err := strconv.Atoi(runE.Attr("gang")); err == nil {
 			ex.Gang = g
 		}
-	case haveCancel:
+	case cancelE != nil:
 		ex.State = "cancelled"
 		ex.FinishNs = cancelE.T
-	case haveReject:
+	case rejectE != nil:
 		ex.State = "rejected"
 		ex.FinishNs = rejectE.T
 	case crit != nil:
@@ -340,9 +348,9 @@ func Explain(evs []Event, k JobKey) Explanation {
 		cur = to
 	}
 	placed := ex.ArrivalNs
-	if havePlace {
+	if placeE != nil {
 		placed = placeE.T
-	} else if haveRun {
+	} else if runE != nil {
 		placed = runE.T
 	}
 	switch {
@@ -354,7 +362,7 @@ func Explain(evs []Event, k JobKey) Explanation {
 		cut("sort", crit.so.End())
 		cut("reduce", crit.re.End())
 		cut("commit", ex.FinishNs)
-	case haveRun:
+	case runE != nil:
 		// Ran, but without rank phase spans in this recording.
 		cut("wait", placed)
 		cut("run", ex.FinishNs)

@@ -146,6 +146,72 @@ func TestExplainCounters(t *testing.T) {
 	}
 }
 
+// phases emits one rank's four phase spans back to back from start, each
+// d long, as core's emitPhases does.
+func phases(r *Recorder, stream string, start, d int64) {
+	for i, kind := range []string{"phase.map", "phase.shuffle", "phase.sort", "phase.reduce"} {
+		at := start + int64(i)*d
+		r.Span(at, at+d, CatSim, stream, kind)
+	}
+}
+
+func TestExplainCountsFinalPlacementOnly(t *testing.T) {
+	// Placed on four ranks, preempted, placed again on two: the first
+	// attempt's r2 and r3 are not ranks of the job that finished.
+	r := New()
+	r.Emit(0, CatSim, "serve/t0-sio-1", "arrive")
+	r.Emit(10, CatSim, "sched/t0-sio-1", "place", Int("gang", 4))
+	for _, rank := range []string{"r0", "r1", "r2", "r3"} {
+		phases(r, "t0-sio-1/"+rank, 20, 40)
+	}
+	r.Emit(200, CatSim, "sched/t0-sio-1", "preempt")
+	r.Emit(300, CatSim, "sched/t0-sio-1", "place", Int("gang", 2))
+	phases(r, "t0-sio-1/r0", 310, 100)
+	phases(r, "t0-sio-1/r1", 310, 90)
+	r.Span(300, 800, CatSim, "serve/t0-sio-1", "job.run", A("state", "done"), Int("gang", 2))
+
+	ex := ExplainJob(r.Canonical(), "t0-sio-1")
+	if ex.Gang != 2 || ex.Ranks != 2 {
+		t.Fatalf("gang %d ranks %d, want 2 and 2", ex.Gang, ex.Ranks)
+	}
+	if ex.CriticalRank != "t0-sio-1/r0" || ex.Restarts != 1 || ex.Preemptions != 1 {
+		t.Fatalf("explained %+v", ex)
+	}
+	if p := ex.Phases[0]; p.Name != "wait" || p.EndNs != 300 {
+		t.Fatalf("the first attempt must stay inside wait: %+v", ex.Phases)
+	}
+}
+
+func TestJobStreamsNeedRankDigits(t *testing.T) {
+	// Tenant names are free text: job 7 of tenant "ana-wo-0/rX" has the
+	// rank stream "ana-wo-0/rX-wo-7/r0", which starts like a rank stream
+	// of job "ana-wo-0" but is not one.
+	own := JobStreams("ana-wo-0")
+	for stream, want := range map[string]bool{
+		"serve/ana-wo-0":         true,
+		"sched/ana-wo-0":         true,
+		"ana-wo-0/r0":            true,
+		"ana-wo-0/r12":           true,
+		"ana-wo-0/r":             false,
+		"ana-wo-0/rX-wo-7/r0":    false,
+		"serve/ana-wo-0/rX-wo-7": false,
+		"ana-wo-01/r0":           false,
+		"gpu0.compute":           false,
+	} {
+		if got := own(stream); got != want {
+			t.Errorf("JobStreams(ana-wo-0)(%q) = %v, want %v", stream, got, want)
+		}
+	}
+
+	// Explain draws the same line.
+	r := New()
+	phases(r, "ana-wo-0/r0", 0, 10)
+	phases(r, "ana-wo-0/rX-wo-7/r0", 0, 20)
+	if ex := ExplainJob(r.Canonical(), "ana-wo-0"); ex.Ranks != 1 || ex.LatencyNs != 40 {
+		t.Fatalf("explained %+v", ex)
+	}
+}
+
 func TestReadJSONLRoundTrip(t *testing.T) {
 	r := jobRecording()
 	var orig bytes.Buffer

@@ -86,9 +86,8 @@ func (r *Recorder) WriteChromeFiltered(w io.Writer, keep func(stream string) boo
 // gpmrsim). It prints to w the phase breakdown of every recorded job
 // explain selects — a job name, bare or prefixed, or "all"; "" selects
 // none — and then, when tracePath is set, writes the recording there as
-// Chrome trace-event JSON and notes the event count on stderr under the
-// program's name.
-func (r *Recorder) Finish(w io.Writer, prog, explain, tracePath string) error {
+// Chrome trace-event JSON.
+func (r *Recorder) Finish(w io.Writer, explain, tracePath string) error {
 	if explain != "" {
 		evs := r.Canonical()
 		for _, k := range Jobs(evs) {
@@ -108,11 +107,7 @@ func (r *Recorder) Finish(w io.Writer, prog, explain, tracePath string) error {
 		f.Close()
 		return fmt.Errorf("writing trace: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%s: flight recording (%d events) written to %s\n", prog, r.Len(), tracePath)
-	return nil
+	return f.Close()
 }
 
 // usec renders a nanosecond time as trace-event microseconds with fixed

@@ -3,8 +3,7 @@
 // engine internals, GPU kernel and copy spans, pipeline phase spans,
 // scheduler decisions, and serve-level job lifecycles — with exports to
 // canonical JSONL and Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) and a post-processing summary (utilization, phase
-// percentiles, critical path).
+// chrome://tracing) and a per-job latency breakdown (Explain).
 //
 // Design constraints, in order:
 //

@@ -183,67 +183,6 @@ func TestWriteChromeValidAndFiltered(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	r := New()
-	// Stream a: two overlapping spans [0,10] and [5,20] -> busy 20.
-	r.Span(0, 10, CatSim, "a", "phase.map")
-	r.Span(5, 20, CatSim, "a", "phase.reduce")
-	// Stream b: one span [0,40] -> busy 40; finishes last.
-	r.Span(0, 40, CatSim, "b", "phase.map")
-	r.Emit(41, CatSim, "c", "done") // instant sets makespan to 41
-
-	s := Summarize(r.Canonical())
-	if s.MakespanNs != 41 {
-		t.Fatalf("makespan = %d, want 41", s.MakespanNs)
-	}
-	if len(s.Streams) != 2 {
-		t.Fatalf("streams = %d, want 2 (instant-only streams excluded)", len(s.Streams))
-	}
-	if s.Streams[0].Stream != "a" || s.Streams[0].BusyNs != 20 {
-		t.Fatalf("stream a busy = %d, want 20", s.Streams[0].BusyNs)
-	}
-	if s.Streams[1].Stream != "b" || s.Streams[1].BusyNs != 40 {
-		t.Fatalf("stream b busy = %d, want 40", s.Streams[1].BusyNs)
-	}
-
-	var mapStats *PhaseStats
-	for i := range s.Phases {
-		if s.Phases[i].Kind == "phase.map" {
-			mapStats = &s.Phases[i]
-		}
-	}
-	if mapStats == nil || mapStats.Count != 2 || mapStats.TotalNs != 50 {
-		t.Fatalf("phase.map stats = %+v", mapStats)
-	}
-	if mapStats.P50Ns != 10 || mapStats.P95Ns != 40 || mapStats.P99Ns != 40 {
-		t.Fatalf("phase.map percentiles = %d/%d/%d", mapStats.P50Ns, mapStats.P95Ns, mapStats.P99Ns)
-	}
-
-	// Critical path: last event end is the instant on c at 41.
-	if s.Critical.Stream != "c" || s.Critical.EndNs != 41 {
-		t.Fatalf("critical = %+v", s.Critical)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-}
-
-func TestPercentileNearestRank(t *testing.T) {
-	durs := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := percentile(durs, 50); p != 5 {
-		t.Fatalf("p50 = %d, want 5", p)
-	}
-	if p := percentile(durs, 95); p != 10 {
-		t.Fatalf("p95 = %d, want 10", p)
-	}
-	if p := percentile(durs, 100); p != 10 {
-		t.Fatalf("p100 = %d, want 10", p)
-	}
-	if p := percentile(nil, 50); p != 0 {
-		t.Fatalf("empty p50 = %d, want 0", p)
-	}
-}
-
 // FuzzReadJSONL feeds ReadJSONL bytes no WriteJSONL wrote: it must return
 // an error or accept, never panic, and events it accepts, written back
 // with WriteJSONL, must read back equal. Seeds: the golden export, and
