@@ -24,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -90,6 +91,9 @@ func main() {
 		check(err)
 		check(pprof.StartCPUProfile(f))
 	}
+	// A failed experiment does not stop the others; the failures are
+	// reported, and the run exits 1, after the recording is written.
+	var failed error
 	for _, e := range bench.Experiments {
 		if *exp != "all" && *exp != e.Name {
 			continue
@@ -99,7 +103,7 @@ func main() {
 			run = func(w io.Writer, o bench.Options) error { return e.PerApp(w, *benchName, o) }
 		}
 		if err := run(out, o); err != nil {
-			check(fmt.Errorf("%s: %w", e.Name, err))
+			failed = errors.Join(failed, fmt.Errorf("%s: %w", e.Name, err))
 		}
 		fmt.Fprintln(out)
 	}
@@ -116,4 +120,5 @@ func main() {
 	if *tracePath != "" {
 		fmt.Fprintf(os.Stderr, "gpmrbench: flight recording (%d events) written to %s\n", o.Obs.Len(), *tracePath)
 	}
+	check(failed)
 }

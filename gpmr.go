@@ -117,7 +117,10 @@ type (
 	// Scheduled wraps a Job for the job-level scheduler and captures its
 	// Result on completion.
 	Scheduled[V any] = core.Scheduled[V]
-	// Runnable is the non-generic job interface the scheduler admits.
+	// Runnable is the non-generic job interface the scheduler admits: the
+	// one declaration of what a scheduler or server may ask a job (launch,
+	// checkpoint, cost estimate, output digest and text), every method
+	// required.
 	Runnable = core.Runnable
 	// SchedPolicy configures gang sizing and admission for RunJobs.
 	SchedPolicy = sched.Policy

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -190,22 +188,42 @@ func TestTable4Counts(t *testing.T) {
 	}
 }
 
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
+// TestTable4FromPackageDir runs the registry's table4 entry from go test's
+// working directory, the package directory: it finds the repository root
+// itself and prints what Table4 of the root renders. Outside any checkout
+// the error names the directory the search started from.
+func TestTable4FromPackageDir(t *testing.T) {
+	var got, want strings.Builder
+	for _, e := range Experiments {
+		if e.Name == "table4" {
+			if err := e.Run(&got, Options{}); err != nil {
+				t.Fatalf("table4 from the package directory: %v", err)
+			}
+		}
+	}
+	rows, err := Table4(repoRoot(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("go.mod not found")
-		}
-		dir = parent
+	RenderTable4(&want, rows)
+	if got.String() != want.String() {
+		t.Fatalf("table4 from the package directory:\n%s\nTable4(repoRoot):\n%s", got.String(), want.String())
 	}
+
+	outside := t.TempDir()
+	t.Chdir(outside)
+	if _, err := findRepoRoot(); err == nil || !strings.Contains(err.Error(), outside) {
+		t.Fatalf("findRepoRoot outside the checkout: %v, want an error naming %s", err, outside)
+	}
+}
+
+func repoRoot(t *testing.T) string {
+	t.Helper()
+	root, err := findRepoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
 
 func TestRenderers(t *testing.T) {

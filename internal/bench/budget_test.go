@@ -20,9 +20,9 @@ var sourceBudget = map[string]int{
 	"internal/apps/mm":      344,
 	"internal/apps/sio":     223,
 	"internal/apps/wo":      269,
-	"internal/bench":        1702,
+	"internal/bench":        1722,
 	"internal/cluster":      218,
-	"internal/core":         2742,
+	"internal/core":         2732,
 	"internal/cudpp":        163,
 	"internal/des":          1386,
 	"internal/fabric":       161,
@@ -34,8 +34,8 @@ var sourceBudget = map[string]int{
 	"internal/mph":          131,
 	"internal/obs":          997,
 	"internal/phoenix":      398,
-	"internal/sched":        1609,
-	"internal/serve":        2120,
+	"internal/sched":        1580,
+	"internal/serve":        2107,
 	"internal/workload":     156,
 }
 

@@ -47,6 +47,22 @@ func Table4(root string) ([]LoCRow, error) {
 	return rows, nil
 }
 
+// findRepoRoot walks up from the working directory to the directory whose
+// go.mod declares module repro, so Table 4 counts the same files from
+// anywhere inside the checkout.
+func findRepoRoot() (string, error) {
+	start, err := os.Getwd()
+	for dir := start; err == nil; dir = filepath.Dir(dir) {
+		if mod, _ := os.ReadFile(filepath.Join(dir, "go.mod")); strings.HasPrefix(string(mod), "module repro\n") {
+			return dir, nil
+		}
+		if dir == filepath.Dir(dir) {
+			err = fmt.Errorf("bench: no go.mod of module repro at or above %s", start)
+		}
+	}
+	return "", err
+}
+
 // countPackageLines counts non-test Go lines in a package directory.
 func countPackageLines(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)

@@ -37,10 +37,14 @@ var Experiments = []Experiment{
 		Run: rendered(Table2, titled("Table 2 — GPMR speedup over Phoenix (4-core CPU)"))},
 	{Name: "table3", Desc: "GPMR speedup over Mars (single GPU)",
 		Run: rendered(Table3, titled("Table 3 — GPMR speedup over Mars (single GPU)"))},
-	// Table 4 counts source lines under the working directory, which must
-	// be the repository root.
 	{Name: "table4", Desc: "lines-of-code comparison",
-		Run: rendered(func(Options) ([]LoCRow, error) { return Table4(".") }, RenderTable4)},
+		Run: rendered(func(Options) ([]LoCRow, error) {
+			root, err := findRepoRoot()
+			if err != nil {
+				return nil, err
+			}
+			return Table4(root)
+		}, RenderTable4)},
 	perApp("weak", "weak-scaling runs (fixed size per GPU)",
 		func(w io.Writer, benchName string, o Options) error {
 			if a, ok := appNamed(benchName); ok && a.weak == 0 {

@@ -12,16 +12,6 @@ import (
 	"repro/internal/keyval"
 )
 
-// OutputDigester is the optional face of a Runnable whose completed output
-// can be summarized as one canonical 64-bit digest. The online serving
-// layer records digests in its arrival trace so a replayed run can prove
-// byte-identical job outputs without shipping the outputs themselves.
-type OutputDigester interface {
-	// OutputDigest returns the canonical digest of the job's final
-	// output, and false while the job has not completed.
-	OutputDigest() (uint64, bool)
-}
-
 // Digest canonically hashes a completed job's output: the gathered pairs
 // (when GatherOutput was set) followed by every reduce partition's final
 // pairs, in partition order. Keys hash as little-endian uint32; values
@@ -79,7 +69,7 @@ func appendValue[V any](dst []byte, v V) []byte {
 	return fmt.Appendf(dst, "%v", v)
 }
 
-// OutputDigest implements OutputDigester for a scheduled job.
+// OutputDigest implements Runnable for a scheduled job.
 func (s *Scheduled[V]) OutputDigest() (uint64, bool) {
 	if s.Result == nil {
 		return 0, false
@@ -87,17 +77,7 @@ func (s *Scheduled[V]) OutputDigest() (uint64, bool) {
 	return s.Result.Digest(), true
 }
 
-// OutputRenderer is the optional face of a Runnable whose completed
-// output can be rendered as canonical text — the serving layer's
-// output-retrieval endpoint uses it so a fleet router can proxy results
-// without the shard retaining live Result structures.
-type OutputRenderer interface {
-	// RenderOutput writes the job's final output as canonical text, and
-	// fails while the job has not completed.
-	RenderOutput(w io.Writer) error
-}
-
-// RenderOutput implements OutputRenderer for a scheduled job: one line
+// RenderOutput implements Runnable for a scheduled job: one line
 // per pair, gathered output first, then every reduce partition in
 // partition order — the same canonical ordering Digest hashes. Values
 // render through appendValue, exactly as they digest, so two jobs render

@@ -5,23 +5,7 @@ import (
 	"repro/internal/des"
 )
 
-// CostEstimator is the admission cost model's hook: a Runnable that can
-// predict its service time on a gang of n ranks before it runs. SLO
-// admission, the EASY backfill reservation, and the serve layer's
-// Retry-After drain hint all consume it.
-//
-// The estimate must be a deterministic pure function of the job and the
-// cluster's hardware properties, and monotone — more bytes or fewer
-// ranks never predict a faster job. It is deliberately coarse: a
-// roofline walk over the pipeline's bulk data movement, not a
-// simulation. The EASY reservation only needs a consistent ordering of
-// predicted completions; the M/G/k calibration test checks the open
-// system against measured service times, not predicted ones.
-type CostEstimator interface {
-	EstimateCost(cl *cluster.Cluster, gang int) des.Time
-}
-
-// EstimateCost implements CostEstimator for a scheduled job. On top of
+// EstimateCost implements Runnable for a scheduled job. On top of
 // the generic data-movement walk it prices the sort stage with the
 // job's own Sorter cost model (the same formula the pipeline charges at
 // run time), approximating the per-rank pair count from the input bytes

@@ -83,7 +83,7 @@ func goldenFloat64() *Result[float64] {
 // PR 23 replaced; recorded arrival traces carry digests, so these must
 // never change.
 func TestDigestAndRenderGolden(t *testing.T) {
-	render := func(r OutputRenderer) string {
+	render := func(r Runnable) string {
 		var sb strings.Builder
 		if err := r.RenderOutput(&sb); err != nil {
 			t.Fatal(err)

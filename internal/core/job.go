@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/des"
@@ -252,7 +253,10 @@ type runtime[V any] struct {
 
 // Runnable is the non-generic face of a Job, letting the job-level
 // scheduler (internal/sched) admit heterogeneous jobs — different value
-// types V — onto one shared cluster. Wrap a Job in a Scheduled to get one.
+// types V — onto one shared cluster, and the serving layer report their
+// outputs. It is the one declaration of what a scheduler or a server may
+// ask a job; every method is required. Wrap a Job in a Scheduled to get
+// one.
 type Runnable interface {
 	// RunName labels the job in cluster traces.
 	RunName() string
@@ -264,16 +268,38 @@ type Runnable interface {
 	// against the granted rank subset; done fires (in simulated time)
 	// with the job's trace when its last process finishes.
 	LaunchOn(eng *des.Engine, cl *cluster.Cluster, ranks []int, done func(*Trace)) error
-}
 
-// Preemptible marks a Runnable whose in-flight launch can be asked to
-// quiesce at a chunk boundary — GPMR's checkpoint: chunk completion is
-// the only instant where no device-resident state is in motion, so it is
-// where a launch can stop cleanly. The job-level scheduler uses it for
-// class preemption and elastic grow-back. See Scheduled.PreemptLaunch.
-type Preemptible interface {
-	Runnable
+	// PreemptLaunch asks the in-flight launch to quiesce at a chunk
+	// boundary — GPMR's checkpoint: chunk completion is the only instant
+	// where no device-resident state is in motion, so it is where a
+	// launch can stop cleanly. The job-level scheduler uses it for class
+	// preemption, preempt-cancel and elastic grow-back. Reports false
+	// when there is no launch to stop.
 	PreemptLaunch() bool
+
+	// EstimateCost predicts the job's service time on a gang of the given
+	// size before it runs: the admission cost model that SLO admission,
+	// the EASY backfill reservation and the serve layer's Retry-After
+	// drain hint consume. The estimate must be a deterministic pure
+	// function of the job and the cluster's hardware properties, and
+	// monotone — more bytes or fewer ranks never predict a faster job. It
+	// is deliberately coarse: a roofline walk over the pipeline's bulk
+	// data movement, not a simulation. The EASY reservation only needs a
+	// consistent ordering of predicted completions; the M/G/k calibration
+	// test checks the open system against measured service times, not
+	// predicted ones.
+	EstimateCost(cl *cluster.Cluster, gang int) des.Time
+
+	// OutputDigest returns the canonical 64-bit digest of the job's final
+	// output, and false while the job has not completed. The serving
+	// layer records digests in its arrival trace so a replayed run can
+	// prove byte-identical job outputs without shipping the outputs.
+	OutputDigest() (uint64, bool)
+	// RenderOutput writes the job's final output as canonical text, and
+	// fails while the job has not completed. The serving layer's
+	// output-retrieval endpoint uses it so a fleet router can proxy
+	// results without the shard retaining live Result structures.
+	RenderOutput(w io.Writer) error
 }
 
 // Scheduled adapts one generic Job for the job-level scheduler and
@@ -318,7 +344,7 @@ func (s *Scheduled[V]) LaunchOn(eng *des.Engine, cl *cluster.Cluster, ranks []in
 	return nil
 }
 
-// PreemptLaunch implements Preemptible: ask the in-flight launch to
+// PreemptLaunch implements Runnable: ask the in-flight launch to
 // quiesce at its next chunk boundary. The launch then drains — in-flight
 // chunks finish mapping, the shuffle and reduce consume whatever was
 // delivered — and completes with Trace.Preempted set; the scheduler

@@ -274,9 +274,9 @@ func Explain(evs []Event, k JobKey) Explanation {
 		ex.ArrivalNs = minT
 	}
 
-	// The final placement's ranks: those with an event at or after the
-	// last place (every rank of a bare run). Critical rank among them:
-	// latest reduce end of this attempt, ties to the smallest stream.
+	// The final placement's ranks, its gang unless serve's job.run names
+	// one: those with an event at or after the last place (all of a bare
+	// run's). Critical rank: latest reduce end; ties to the smallest stream.
 	from := int64(math.MinInt64)
 	if placeE != nil {
 		from = placeE.T
@@ -288,7 +288,7 @@ func Explain(evs []Event, k JobKey) Explanation {
 		}
 	}
 	sort.Strings(rankStreams)
-	ex.Ranks = len(rankStreams)
+	ex.Gang, ex.Ranks = len(rankStreams), len(rankStreams)
 	var crit *rankSet
 	for _, s := range rankStreams {
 		rs := ranks[s]

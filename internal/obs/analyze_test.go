@@ -108,6 +108,10 @@ func TestExplainCriticalRankTie(t *testing.T) {
 	if ex.State != "done" || ex.ArrivalNs != 0 || ex.FinishNs != 40 {
 		t.Fatalf("bare run stamps: %+v", ex)
 	}
+	// No serve job.run names a gang: a bare run's gang is the ranks it ran on.
+	if ex.Gang != 2 || ex.Ranks != 2 {
+		t.Fatalf("bare run: gang %d ranks %d, want 2 and 2", ex.Gang, ex.Ranks)
+	}
 }
 
 func TestExplainNeverRan(t *testing.T) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -62,6 +63,10 @@ func (j *stubJob) EstimateCost(_ *cluster.Cluster, gang int) des.Time {
 	j.estCalls[gang]++
 	return j.service(gang)
 }
+
+// A stub has no output: its digest is fixed and it renders nothing.
+func (j *stubJob) OutputDigest() (uint64, bool)   { return 0, true }
+func (j *stubJob) RenderOutput(w io.Writer) error { return nil }
 
 func newStub(i, gpus, steps int) *stubJob {
 	return &stubJob{name: "stub-" + strconv.Itoa(i), gpus: gpus, steps: steps, step: 100 * des.Microsecond,

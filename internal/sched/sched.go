@@ -31,9 +31,9 @@ type JobSpec struct {
 	// Deadline is the job's completion SLO relative to arrival (0 =
 	// none). At arrival the cost model predicts queue wait plus service;
 	// a job predicted to miss is rejected — or demoted to Batch when
-	// DowngradeOnMiss is set. The prediction needs the job to implement
-	// core.CostEstimator (core.Scheduled does); otherwise the job is
-	// admitted unchecked.
+	// DowngradeOnMiss is set. A job that would still be blocked after
+	// every running gang released its ranks cannot be given a start time,
+	// and is admitted unchecked.
 	Deadline des.Time
 	// DowngradeOnMiss demotes a predicted-miss job to Batch instead of
 	// rejecting it. The deadline is kept for attainment reporting.
@@ -506,9 +506,8 @@ func (s *Scheduler) admit() {
 		if reserved && i > 0 {
 			// EASY gate: a later job may only jump the blocked head if it
 			// provably (by the same cost model) finishes before the head's
-			// reserved start. Unpredictable jobs don't get to gamble.
-			est, ok := s.estimate(rec, size)
-			if !ok || s.eng.Now()+est > resAt {
+			// reserved start.
+			if s.eng.Now()+s.estimate(rec, size) > resAt {
 				i++
 				continue
 			}

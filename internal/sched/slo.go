@@ -3,7 +3,6 @@ package sched
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/obs"
 )
@@ -11,9 +10,12 @@ import (
 // This file is the SLO side of the scheduler: cost-model admission
 // (predict-and-reject at arrival), the EASY backfill reservation for a
 // blocked queue head, checkpoint-preemption of running gangs for higher
-// classes, and elastic grow-back of molded gangs. Everything here is
-// opt-in — with zero-valued Policy and JobSpec SLO fields none of these
-// paths run, and the scheduler behaves byte-for-byte as before.
+// classes, and elastic grow-back of molded gangs. Every job answers the
+// two questions these paths ask of it — core.Runnable's EstimateCost (the
+// cost model) and PreemptLaunch (the chunk-boundary checkpoint) — so each
+// behaviour has one code path. Everything here is opt-in — with
+// zero-valued Policy and JobSpec SLO fields none of these paths run, and
+// the scheduler behaves byte-for-byte as before.
 
 // gangEst is one remembered answer of the cost model.
 type gangEst struct {
@@ -21,25 +23,20 @@ type gangEst struct {
 	est  des.Time
 }
 
-// estimate asks the cost model for rec's service time on a gang of the
-// given size. ok is false when the job cannot predict itself (it does
-// not implement core.CostEstimator). The model is a pure function of the
-// job, the hardware and the gang size that re-walks every chunk, so each
-// (job, gang size) is asked once and remembered; a job nobody prices —
-// no Reserve, no deadline, no Retry-After hint — is never asked.
-func (s *Scheduler) estimate(rec *jobRec, gang int) (des.Time, bool) {
-	ce, ok := rec.job.(core.CostEstimator)
-	if !ok {
-		return 0, false
-	}
+// estimate asks the cost model (core.Runnable.EstimateCost) for rec's
+// service time on a gang of the given size. The model is a pure function
+// of the job, the hardware and the gang size that re-walks every chunk,
+// so each (job, gang size) is asked once and remembered; a job nobody
+// prices — no Reserve, no deadline, no Retry-After hint — is never asked.
+func (s *Scheduler) estimate(rec *jobRec, gang int) des.Time {
 	for _, e := range rec.ests {
 		if e.gang == gang {
-			return e.est, true
+			return e.est
 		}
 	}
-	est := ce.EstimateCost(s.cl, gang)
+	est := rec.job.EstimateCost(s.cl, gang)
 	rec.ests = append(rec.ests, gangEst{gang, est})
-	return est, true
+	return est
 }
 
 // nominalSize is the gang a job is priced at for admission prediction:
@@ -83,8 +80,8 @@ func (s *Scheduler) needFor(rec *jobRec) int {
 // running jobs' predicted completions (admit + estimate for the granted
 // gang, clamped to now when a job overruns its estimate) in end order
 // and accumulating their leases onto the current idle set. ok is false
-// when any running job is unpredictable — no reservation can then be
-// made, and callers fall back to plain (pre-Reserve) behaviour.
+// when even every running gang's release would not free `need` ranks —
+// no reservation can then be made.
 func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 	now := s.eng.Now()
 	avail := s.nFree
@@ -97,11 +94,7 @@ func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 	}
 	var ends []release
 	for _, r := range s.running {
-		est, ok := s.estimate(r, len(r.Gang))
-		if !ok {
-			return 0, false
-		}
-		at := r.Admit + est
+		at := r.Admit + s.estimate(r, len(r.Gang))
 		if at < now {
 			// Overdue estimate: the job could finish at any moment, so the
 			// reservation is "now" — conservative for backfill, which then
@@ -128,12 +121,9 @@ func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 // serialization under FIFOExclusive and a work-conserving approximation
 // under the sharing policies. It still ignores future arrivals — it is
 // an advisory admission filter, not a simulation; the serve layer
-// reports actual attainment.
+// reports actual attainment. ok is false when no reservation can be
+// made (reserveStart), and the job is then admitted unchecked.
 func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
-	est, ok := s.estimate(rec, s.nominalSize(rec))
-	if !ok {
-		return 0, false
-	}
 	var wait des.Time
 	blocked := len(s.queue) > 0 || s.nFree < s.needFor(rec) ||
 		(s.pol.Kind == FIFOExclusive && len(s.running) > 0)
@@ -148,22 +138,17 @@ func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
 			if q.Class < rec.Class {
 				continue
 			}
-			qe, ok := s.estimate(q, s.nominalSize(q))
-			if !ok {
-				return 0, false
-			}
-			wait += qe * des.Time(s.needFor(q)) / ranks
+			wait += s.estimate(q, s.nominalSize(q)) * des.Time(s.needFor(q)) / ranks
 		}
 	}
-	return wait + est, true
+	return wait + s.estimate(rec, s.nominalSize(rec)), true
 }
 
 // preemptFor checkpoints enough running lower-class gangs to fit the
 // blocked head, returning true when victims are (or already were)
 // draining — the caller must then hold all admission until their requeue
 // re-runs it. Victims are chosen lowest class first, then the most
-// recently started (least work lost), then highest ID; only jobs whose
-// launch supports quiescing (core.Preemptible) qualify. Returns false
+// recently started (least work lost), then highest ID. Returns false
 // when the head's class outranks nothing useful, or when even preempting
 // every candidate would not free enough ranks.
 func (s *Scheduler) preemptFor(head *jobRec) bool {
@@ -182,9 +167,6 @@ func (s *Scheduler) preemptFor(head *jobRec) bool {
 	var cands []*jobRec
 	for _, r := range s.running {
 		if r.quiescing || r.Class >= head.Class {
-			continue
-		}
-		if _, ok := r.job.(core.Preemptible); !ok {
 			continue
 		}
 		cands = append(cands, r)
@@ -232,9 +214,6 @@ func (s *Scheduler) growBack() {
 		if r.quiescing || !r.elastic {
 			continue
 		}
-		if _, ok := r.job.(core.Preemptible); !ok {
-			continue
-		}
 		cur := len(r.Gang)
 		if cur >= r.Want {
 			continue
@@ -257,12 +236,9 @@ func (s *Scheduler) growBack() {
 // with a Preempted trace and finish routes it to requeue. In sharded
 // mode the stop must execute on the gang's home engine — the launch's
 // core scheduler is engine-confined — so it travels the same hub->home
-// post edge as the launch itself.
-func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
-	p, ok := rec.job.(core.Preemptible)
-	if !ok || !rec.running || rec.quiescing {
-		return false
-	}
+// post edge as the launch itself. Callers pass a running job that is not
+// already quiescing.
+func (s *Scheduler) quiesce(rec *jobRec, cancel bool) {
 	rec.quiescing = true
 	rec.qCancel = cancel
 	if r := s.cl.Obs; r.Enabled() {
@@ -278,12 +254,11 @@ func (s *Scheduler) quiesce(rec *jobRec, cancel bool) bool {
 	if s.ss != nil {
 		home := s.homeOf(rec.Gang)
 		s.ss.Post(s.eng, home, hubKey, s.launchLat, rec.Name+".preempt", func(q *des.Proc) {
-			p.PreemptLaunch()
+			rec.job.PreemptLaunch()
 		})
 	} else {
-		p.PreemptLaunch()
+		rec.job.PreemptLaunch()
 	}
-	return true
 }
 
 // requeue handles a launch that drained early because quiesce asked it
@@ -327,9 +302,8 @@ func (s *Scheduler) requeue(rec *jobRec) {
 // discarding the drained launch — the counterpart of Cancel (which only
 // reaches queued jobs). The gang frees at the job's next chunk boundary,
 // not instantly; OnRequeue(id, true) fires when it does, and no OnDone
-// follows. Reports false when the job is not running, is already
-// quiescing, or its launch cannot quiesce. Must be called at engine
-// time.
+// follows. Reports false when the job is not running or is already
+// quiescing. Must be called at engine time.
 func (s *Scheduler) PreemptCancel(id int) bool {
 	if id < 0 || id >= len(s.recs) {
 		return false
@@ -338,7 +312,8 @@ func (s *Scheduler) PreemptCancel(id int) bool {
 	if !rec.running || rec.quiescing {
 		return false
 	}
-	return s.quiesce(rec, true)
+	s.quiesce(rec, true)
+	return true
 }
 
 // Rejected reports whether the SLO admission check turned the job away
@@ -354,15 +329,12 @@ func (s *Scheduler) Downgraded(id int) bool {
 }
 
 // QueuedCost sums the cost-model estimates of every queued job at its
-// nominal gang size — the serve layer's Retry-After drain hint. Jobs
-// that cannot predict themselves contribute nothing. Must be called at
-// engine time.
+// nominal gang size — the serve layer's Retry-After drain hint. Must be
+// called at engine time.
 func (s *Scheduler) QueuedCost() des.Time {
 	var t des.Time
 	for _, rec := range s.queue {
-		if est, ok := s.estimate(rec, s.nominalSize(rec)); ok {
-			t += est
-		}
+		t += s.estimate(rec, s.nominalSize(rec))
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -136,6 +137,13 @@ func (g *gateJob) LaunchOn(eng *des.Engine, _ *cluster.Cluster, ranks []int, don
 	})
 	return nil
 }
+
+// A gate job never quiesces, is priced at its fixed length, and has no
+// output: its digest is fixed and it renders nothing.
+func (g *gateJob) PreemptLaunch() bool                             { return false }
+func (g *gateJob) EstimateCost(_ *cluster.Cluster, _ int) des.Time { return g.length }
+func (g *gateJob) OutputDigest() (uint64, bool)                    { return 0, true }
+func (g *gateJob) RenderOutput(w io.Writer) error                  { return nil }
 
 // gateCatalog serves "gate", a long job that waits to see its successor
 // arrive, and "next", a short job whose construction is that signal.

@@ -156,8 +156,8 @@ type JobInfo struct {
 	Downgraded bool     `json:"downgraded,omitempty"`
 	RetryAfter int      `json:"retryAfter,omitempty"`
 
-	// Digest is the canonical output digest (core.OutputDigester), valid
-	// when HasDigest is set — the replay-verification handle.
+	// Digest is the canonical output digest (core.Runnable.OutputDigest),
+	// valid when HasDigest is set — the replay-verification handle.
 	Digest    uint64 `json:"digest,omitempty"`
 	HasDigest bool   `json:"hasDigest,omitempty"`
 
@@ -266,9 +266,9 @@ type Config struct {
 	TraceW io.Writer
 
 	// KeepOutputs retains the canonical rendered output of the most
-	// recent KeepOutputs completed jobs (core.OutputRenderer text), so
-	// results can be retrieved after completion — the fleet router
-	// proxies them. 0 disables retention. Retention never affects
+	// recent KeepOutputs completed jobs (core.Runnable.RenderOutput
+	// text), so results can be retrieved after completion — the fleet
+	// router proxies them. 0 disables retention. Retention never affects
 	// reports: outputs are a side table, not report state.
 	KeepOutputs int
 }
@@ -424,7 +424,6 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	info := &JobInfo{
 		ID: id, Tenant: req.Tenant, Kind: req.Kind, Name: name, Params: req.Params,
 		Tag: req.Tag, TraceID: req.TraceID, Arrival: now,
-		State: Rejected, Status: Rejected.String(),
 		Weight: req.Weight, MinGang: req.MinGang, Downgrade: req.Downgrade, Elastic: req.Elastic,
 	}
 	ses.runnables = append(ses.runnables, nil)
@@ -453,6 +452,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
+	ses.move(info, Rejected) // until admission says otherwise
 	ses.jobs = append(ses.jobs, info)
 	ses.vnow = now
 	ses.stats.Submitted++
@@ -460,6 +460,8 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	ts.Submitted++
 
 	reject := func(reason, class string, counter *int64) JobInfo {
+		ses.move(info, Rejected)
+		ses.runnables[id] = nil
 		info.Reason = reason
 		*counter = *counter + 1
 		ts.Rejected++
@@ -499,16 +501,11 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 			req.Tenant, ses.inflight[req.Tenant], q), "quota", &ses.stats.RejectedQuota)
 	}
 
-	// Admission. Submit synchronously runs the admission scan, so OnStart
-	// may fire (and flip the state to Running) before Submit returns —
-	// set Queued first and let the hook overwrite. The hooks re-lock mu;
-	// release it across the call.
-	info.State = Queued
-	info.Status = Queued.String()
-	ses.stats.Admitted++
-	ses.stats.Queued++
-	ts.Admitted++
-	ses.inflight[req.Tenant]++
+	// Admission. Arrive synchronously runs the admission scan, so OnStart
+	// may fire (and move the job to Running) before Arrive returns — move
+	// it to Queued first and let the hook move it on. The hooks re-lock
+	// mu; release it across the call.
+	ses.move(info, Queued)
 	ses.runnables[id] = run
 	ses.mu.Unlock()
 	// Register first so the sched↔serve ID maps are in place before
@@ -524,35 +521,44 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	if err != nil {
 		// The job was validated by the catalog but the scheduler still
 		// refused it (e.g. it wants more ranks than the cluster has).
-		info.State = Rejected
-		info.Status = Rejected.String()
-		ses.stats.Admitted--
-		ses.stats.Queued--
-		ts.Admitted--
-		ses.inflight[req.Tenant]--
-		ses.runnables[id] = nil
 		return reject(err.Error(), "invalid", &ses.stats.RejectedInvalid)
 	}
 	if ses.sch.Rejected(schedID) {
 		// The SLO admission check predicted a deadline miss and turned the
 		// job away at arrival.
-		info.State = Rejected
-		info.Status = Rejected.String()
-		ses.stats.Admitted--
-		ses.stats.Queued--
-		ts.Admitted--
-		ses.inflight[req.Tenant]--
-		ses.runnables[id] = nil
 		if cs != nil {
 			cs.Rejected++
 		}
 		return reject(fmt.Sprintf("slo: predicted to miss %v deadline", req.Deadline),
 			"slo", &ses.stats.RejectedSLO)
 	}
-	if ses.sch.Downgraded(schedID) {
-		info.Downgraded = true
-	}
+	ses.stats.Admitted++
+	ts.Admitted++
+	info.Downgraded = ses.sch.Downgraded(schedID)
 	return *info
+}
+
+// move is the one writer of a job's lifecycle state: it sets State and
+// its Status mirror, and keeps the Queued/Running gauges and the
+// tenant's in-flight count equal to what the job table holds. Callers
+// hold mu.
+func (ses *session) move(info *JobInfo, to State) {
+	ses.count(info, -1)
+	info.State, info.Status = to, to.String()
+	ses.count(info, 1)
+}
+
+// count adds d times info's share of the gauges move maintains.
+func (ses *session) count(info *JobInfo, d int64) {
+	switch info.State {
+	case Queued:
+		ses.stats.Queued += d
+	case Running:
+		ses.stats.Running += d
+	default:
+		return
+	}
+	ses.inflight[info.Tenant] += int(d)
 }
 
 // cancel withdraws a queued job at the current simulated time, or — when
@@ -576,12 +582,9 @@ func (ses *session) cancel(now des.Time, id int) bool {
 		ses.mu.Lock()
 		defer ses.mu.Unlock()
 		ses.vnow = now
-		info.State = Cancelled
-		info.Status = Cancelled.String()
+		ses.move(info, Cancelled)
 		info.Finish = now
 		ses.stats.Cancelled++
-		ses.stats.Queued--
-		ses.inflight[info.Tenant]--
 		return true
 	case info.State == Running && ses.cfg.Policy.Preempt && ses.sch.PreemptCancel(ses.schedOf[id]):
 		if ses.rec != nil {
@@ -605,12 +608,9 @@ func (ses *session) onStart(schedID int, gang []int) {
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
 	ses.vnow = ses.eng.Now()
-	info.State = Running
-	info.Status = Running.String()
+	ses.move(info, Running)
 	info.Admit = ses.eng.Now()
 	info.Granted = len(gang)
-	ses.stats.Queued--
-	ses.stats.Running++
 }
 
 // onRequeue is the scheduler's checkpoint-preemption hook: the job's
@@ -627,20 +627,15 @@ func (ses *session) onRequeue(schedID int, cancelled bool) {
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
 	ses.vnow = now
-	ses.stats.Running--
 	if cancelled {
-		info.State = Cancelled
-		info.Status = Cancelled.String()
+		ses.move(info, Cancelled)
 		info.Finish = now
 		ses.stats.Cancelled++
-		ses.inflight[info.Tenant]--
 		return
 	}
-	info.State = Queued
-	info.Status = Queued.String()
+	ses.move(info, Queued)
 	info.Admit = 0
 	info.Granted = 0
-	ses.stats.Queued++
 }
 
 // onDone is the scheduler's completion hook: extract the output digest,
@@ -654,15 +649,11 @@ func (ses *session) onDone(schedID int, tr *core.Trace, err error) {
 	var hasDigest bool
 	var output string
 	if err == nil {
-		if d, ok := ses.runnables[id].(core.OutputDigester); ok {
-			digest, hasDigest = d.OutputDigest()
-		}
+		digest, hasDigest = ses.runnables[id].OutputDigest()
 		if ses.cfg.KeepOutputs > 0 {
-			if rr, ok := ses.runnables[id].(core.OutputRenderer); ok {
-				var sb strings.Builder
-				if rerr := rr.RenderOutput(&sb); rerr == nil {
-					output = sb.String()
-				}
+			var sb strings.Builder
+			if ses.runnables[id].RenderOutput(&sb) == nil {
+				output = sb.String()
 			}
 		}
 	}
@@ -682,8 +673,6 @@ func (ses *session) onDone(schedID int, tr *core.Trace, err error) {
 	info.Finish = now
 	info.Digest = digest
 	info.HasDigest = hasDigest
-	ses.stats.Running--
-	ses.inflight[info.Tenant]--
 	ses.stats.WaitTotal += info.Admit - info.Arrival
 	ses.stats.ServiceTotal += now - info.Admit
 	ses.stats.WaitHist.Observe((info.Admit - info.Arrival).Seconds())
@@ -699,14 +688,12 @@ func (ses *session) onDone(schedID int, tr *core.Trace, err error) {
 			obs.A("state", state.String()), obs.Int("gang", int64(info.Granted)))
 	}
 	if err != nil {
-		info.State = Failed
-		info.Status = Failed.String()
+		ses.move(info, Failed)
 		info.Reason = err.Error()
 		ses.stats.Failed++
 		return
 	}
-	info.State = Done
-	info.Status = Done.String()
+	ses.move(info, Done)
 	ses.stats.Done++
 	ses.tenantStats(info.Tenant).Done++
 	if info.Class != "" {

@@ -135,11 +135,7 @@ func TestLiveReplayOfflineIdentity(t *testing.T) {
 			ct.String(), replay.Cluster.String())
 	}
 	for i, run := range runs {
-		d, ok := run.(core.OutputDigester)
-		if !ok {
-			t.Fatalf("job %d is not digestible", i)
-		}
-		dig, done := d.OutputDigest()
+		dig, done := run.OutputDigest()
 		if !done {
 			t.Fatalf("offline job %d never completed", i)
 		}

@@ -65,6 +65,9 @@ grep -q '^gpmr_serve_done_total 4' "$workdir/metrics.txt"
 grep -q 'gpmr_serve_rejected_total{reason="invalid"} 2' "$workdir/metrics.txt"
 grep -q 'gpmr_serve_wait_seconds_bucket{le="+Inf"} 4' "$workdir/metrics.txt"
 grep -q '^gpmr_serve_service_seconds_count 4' "$workdir/metrics.txt"
+# Every job is terminal, so the queue and running gauges are back at 0.
+grep -q '^gpmr_serve_queue_depth 0$' "$workdir/metrics.txt"
+grep -q '^gpmr_serve_running 0$' "$workdir/metrics.txt"
 
 # Per-job timeline: valid Chrome trace-event JSON with this job's lanes.
 curl -fsS "$base/jobs/0/timeline" >"$workdir/timeline.json"
