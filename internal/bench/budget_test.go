@@ -27,15 +27,15 @@ var sourceBudget = map[string]int{
 	"internal/des":          1386,
 	"internal/fabric":       161,
 	"internal/fault":        176,
-	"internal/fleet":        1649,
+	"internal/fleet":        1638,
 	"internal/gpu":          541,
 	"internal/keyval":       149,
 	"internal/mars":         337,
 	"internal/mph":          131,
 	"internal/obs":          997,
 	"internal/phoenix":      398,
-	"internal/sched":        1580,
-	"internal/serve":        2107,
+	"internal/sched":        1517,
+	"internal/serve":        2084,
 	"internal/workload":     156,
 }
 

@@ -34,13 +34,9 @@ type DrainSummary struct {
 // handler is the fleet front door: the same job API a single gpmrd
 // shard serves, backed by the router instead of one cluster.
 type handler struct {
-	rt  *Router
-	cfg HandlerConfig
-
-	drainOnce sync.Once
-	drainDone chan struct{}
-	drainResp DrainSummary
-	drainErr  error
+	rt      *Router
+	cfg     HandlerConfig
+	onDrain sync.Once // fires cfg.OnDrain after the first answered drain
 }
 
 // NewHandler builds the router's HTTP API.
@@ -63,7 +59,7 @@ func NewHandler(rt *Router, cfg HandlerConfig) http.Handler {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	h := &handler{rt: rt, cfg: cfg, drainDone: make(chan struct{})}
+	h := &handler{rt: rt, cfg: cfg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", h.submit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -237,27 +233,20 @@ func (h *handler) timeline(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// drain answers the fleet drain handshake. Router.Drain runs once and
+// hands every caller, concurrent ones included, the same responses.
 func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
-	h.drainOnce.Do(func() {
-		defer close(h.drainDone)
-		resps, err := h.rt.Drain()
-		if err != nil && len(resps) == 0 {
-			h.drainErr = err
-			return
-		}
-		h.drainResp = DrainSummary{Shards: resps, Report: Merge(resps)}
-		if h.cfg.OnDrain != nil {
-			// On a fresh goroutine: the host's shutdown path may wait for
-			// this very handler to return.
-			go h.cfg.OnDrain()
-		}
-	})
-	<-h.drainDone
-	if h.drainErr != nil {
-		h.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": h.drainErr.Error()})
+	resps, err := h.rt.Drain()
+	if err != nil && len(resps) == 0 {
+		h.writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	h.writeJSON(w, http.StatusOK, h.drainResp)
+	h.writeJSON(w, http.StatusOK, DrainSummary{Shards: resps, Report: Merge(resps)})
+	if h.cfg.OnDrain != nil {
+		// On a fresh goroutine: the host's shutdown path may wait for
+		// this very handler to return.
+		h.onDrain.Do(func() { go h.cfg.OnDrain() })
+	}
 }
 
 func (h *handler) writeJSON(w http.ResponseWriter, code int, v any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -323,6 +324,46 @@ func TestRouterReroutesAroundDeadShard(t *testing.T) {
 	if got := rt.Stats().Reroutes; got == 0 {
 		t.Fatal("no reroute recorded for a dead ring home")
 	}
+}
+
+// TestConcurrentFleetDrainsShareOneAnswer: fleet drain handshakes racing
+// each other all get the one merged report, and OnDrain fires once (it
+// closes a channel, so a second call would panic).
+func TestConcurrentFleetDrainsShareOneAnswer(t *testing.T) {
+	shard := newTestShard(t)
+	defer shard.hs.Close()
+	rt, err := New(Config{Shards: []Shard{{ID: "s0", URL: shard.hs.URL}}, LoadFactor: -1, Logf: quiet})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	drained := make(chan struct{})
+	fh := httptest.NewServer(NewHandler(rt, HandlerConfig{OnDrain: func() { close(drained) }, Logf: quiet}))
+	defer fh.Close()
+	bodies := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(fh.URL+"/drain", "application/json", nil)
+			if err != nil {
+				t.Errorf("drain %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("drain %d: status %d", i, resp.StatusCode)
+			}
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if len(b) == 0 || !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("drain %d answered %q, drain 0 %q", i, b, bodies[0])
+		}
+	}
+	<-drained
 }
 
 // TestMergeOrderAndSummary pins the merged-report shape: banners sorted

@@ -74,11 +74,13 @@ func newStub(i, gpus, steps int) *stubJob {
 }
 
 // checkIncremental recomputes everything setState and setFree maintain
-// from s.recs and s.free, the way the scheduler itself used to. It runs
-// on simulated processes, so it reports with Errorf (first failure only)
-// and never stops the goroutine the engine is waiting on. requeuing is 1
-// inside OnRequeue for a job going back to the queue: the hook fires
-// between the job turning waiting and its re-insertion.
+// from s.recs and s.free, the way the scheduler itself used to, and
+// checks that the running jobs' leases and the idle ranks partition the
+// machine. It runs on simulated processes, so it reports with Errorf
+// (first failure only) and never stops the goroutine the engine is
+// waiting on. requeuing is 1 inside OnRequeue for a job going back to
+// the queue: the hook fires between the job turning waiting and its
+// re-insertion.
 func checkIncremental(t *testing.T, s *Scheduler, when string, requeuing int) {
 	t.Helper()
 	if t.Failed() {
@@ -130,6 +132,32 @@ func checkIncremental(t *testing.T, s *Scheduler, when string, requeuing int) {
 			t.Errorf("%s: node %d has %d free, recomputed %d", when, ni, s.nodeFree[ni], nodeFree[ni])
 		}
 	}
+	// The partition the gang rule rests on: every rank is idle or leased
+	// by exactly one running job. It is what makes "nFree < Ranks" the
+	// FIFOExclusive "something runs" test, and what lets the reservation
+	// walk always end on a start.
+	owner := make([]*jobRec, len(s.free))
+	leased := 0
+	for _, r := range s.running {
+		leased += len(r.leased)
+		for _, rank := range r.leased {
+			switch {
+			case s.free[rank]:
+				t.Errorf("%s: rank %d is idle and leased by job %d", when, rank, r.ID)
+			case owner[rank] != nil:
+				t.Errorf("%s: rank %d leased by jobs %d and %d", when, rank, owner[rank].ID, r.ID)
+			}
+			owner[rank] = r
+		}
+	}
+	for rank, free := range s.free {
+		if !free && owner[rank] == nil {
+			t.Errorf("%s: rank %d is busy but leased by no running job", when, rank)
+		}
+	}
+	if s.nFree+leased != s.cl.Ranks() {
+		t.Errorf("%s: %d idle + %d leased != %d ranks", when, s.nFree, leased, s.cl.Ranks())
+	}
 }
 
 // TestIncrementalStateMatchesRecompute drives seeded random streams —
@@ -158,7 +186,7 @@ func TestIncrementalStateMatchesRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.OnStart = func(id int, _ []int) { starts++; checkIncremental(t, s, when+": OnStart", 0) }
-				s.OnDone = func(int, *core.Trace, error) { checkIncremental(t, s, when+": OnDone", 0) }
+				s.OnDone = func(int, core.Runnable, *core.Trace, error) { checkIncremental(t, s, when+": OnDone", 0) }
 				s.OnRequeue = func(_ int, cancel bool) {
 					if cancel {
 						preemptCancelled++

@@ -29,11 +29,10 @@ type JobSpec struct {
 	// checkpoint-preempt running lower-class gangs.
 	Class Class
 	// Deadline is the job's completion SLO relative to arrival (0 =
-	// none). At arrival the cost model predicts queue wait plus service;
-	// a job predicted to miss is rejected — or demoted to Batch when
-	// DowngradeOnMiss is set. A job that would still be blocked after
-	// every running gang released its ranks cannot be given a start time,
-	// and is admitted unchecked.
+	// none). At arrival the cost model predicts queue wait plus service
+	// (every job gets a predicted start: the whole machine is idle once
+	// every running gang has released), and a job predicted to miss is
+	// rejected — or demoted to Batch when DowngradeOnMiss is set.
 	Deadline des.Time
 	// DowngradeOnMiss demotes a predicted-miss job to Batch instead of
 	// rejecting it. The deadline is kept for attainment reporting.
@@ -122,14 +121,15 @@ type Scheduler struct {
 	doneLat   des.Time
 
 	// OnStart, if set, fires when a job is placed on its gang; OnDone
-	// fires after its gang is released — with the job's trace, or with a
-	// non-nil error if the launch itself failed (the job never ran).
-	// Cancelled jobs fire neither. OnRequeue fires when a running job is
-	// checkpoint-preempted: cancelled=false means it re-entered the queue
-	// (preemption or elastic grow-back), true means PreemptCancel tore it
-	// down. All run at engine time.
+	// fires after its gang is released — with the finished job (to read
+	// its output from) and its trace, or with a non-nil error if the
+	// launch itself failed (the job never ran). Cancelled jobs fire
+	// neither. OnRequeue fires when a running job is checkpoint-preempted:
+	// cancelled=false means it re-entered the queue (preemption or elastic
+	// grow-back), true means PreemptCancel tore it down. All run at engine
+	// time, with every rank either idle or leased by a running job.
 	OnStart   func(id int, gang []int)
-	OnDone    func(id int, tr *core.Trace, err error)
+	OnDone    func(id int, job core.Runnable, tr *core.Trace, err error)
 	OnRequeue func(id int, cancelled bool)
 }
 
@@ -308,7 +308,7 @@ func (s *Scheduler) setFree(r int, free bool) {
 func (s *Scheduler) arrive(rec *jobRec) {
 	rec.Arrival = s.eng.Now()
 	if rec.Deadline > 0 {
-		if lat, ok := s.predictLatency(rec); ok && lat > rec.Deadline {
+		if s.predictLatency(rec) > rec.Deadline {
 			if !rec.downgrade {
 				rec.rejected = true
 				if r := s.cl.Obs; r.Enabled() {
@@ -353,14 +353,16 @@ func (s *Scheduler) Register(sp JobSpec) (int, error) {
 }
 
 // Arrive enters a registered job into the admission queue at the current
-// simulated time. Must be called at engine time, exactly once per
-// registered ID.
-func (s *Scheduler) Arrive(id int) {
+// simulated time and reports what the SLO admission check did with it:
+// rejected (the job never queued) or downgraded to Batch. Must be called
+// at engine time, exactly once per registered ID.
+func (s *Scheduler) Arrive(id int) (rejected, downgraded bool) {
 	rec := s.recs[id]
 	if rec.waiting || rec.running || rec.cancelled || rec.rejected || rec.Trace != nil || rec.err != nil {
 		panic(fmt.Sprintf("sched: Arrive(%d) on a job that already arrived", id))
 	}
 	s.arrive(rec)
+	return rec.rejected, rec.Downgraded
 }
 
 // Submit is Register followed by Arrive: validate and admit one job
@@ -495,9 +497,8 @@ func (s *Scheduler) admit() {
 					return
 				}
 				if s.pol.Reserve {
-					if at, ok := s.reserveStart(s.needFor(rec)); ok {
-						resAt, reserved = at, true
-					}
+					need, _ := s.gangRange(rec)
+					resAt, reserved = s.reserveStart(need), true
 				}
 			}
 			i++
@@ -520,55 +521,40 @@ func (s *Scheduler) admit() {
 	}
 }
 
-// gangFor decides whether rec can start now and with how many ranks.
-func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
+// gangRange is the one statement of each policy's gang rule: rec may
+// start once need ranks are idle and runs on want of them. FIFOExclusive
+// needs the whole machine idle (one tenant at a time; the idle remainder
+// stays reserved) and runs on the request; FixedShare caps both at Share;
+// WeightedFair needs its moldable floor — MinGang, or for a grow-back
+// relaunch a size strictly wider than the gang it gave up — and wants its
+// request.
+func (s *Scheduler) gangRange(rec *jobRec) (need, want int) {
 	switch s.pol.Kind {
 	case FIFOExclusive:
-		// One tenant at a time holding the whole machine; the gang itself
-		// is the requested size (idle remainder ranks stay reserved).
-		if len(s.running) > 0 {
-			return 0, false
-		}
-		return rec.Want, true
+		return s.cl.Ranks(), rec.Want
 	case FixedShare:
-		size := rec.Want
-		if size > s.pol.Share {
-			size = s.pol.Share
-		}
-		return size, s.nFree >= size
-	case WeightedFair:
-		// Fair share against every job currently in the system.
-		size := s.fairShare(rec)
-		floor := rec.minGang
-		if rec.floorGang > floor {
-			// A grow-back relaunch must come back strictly wider than the
-			// gang it gave up, or the checkpoint was wasted motion.
-			floor = rec.floorGang
-		}
-		if floor > rec.Want {
-			floor = rec.Want
-		}
-		if size < floor {
-			size = floor
-		}
-		if size < 1 {
-			size = 1
-		}
-		if s.nFree >= size {
-			return size, true
-		}
-		// Moldable shrink-to-fit: start on the idle ranks rather than
-		// wait, never below the job's floor.
-		if s.nFree >= floor {
-			size = s.nFree
-			if size > rec.Want {
-				size = rec.Want
-			}
-			return size, true
-		}
+		size := min(rec.Want, s.pol.Share)
+		return size, size
+	default: // WeightedFair
+		floor := max(rec.minGang, rec.floorGang)
+		return max(min(floor, rec.Want), 1), rec.Want
+	}
+}
+
+// gangFor decides whether rec can start now and with how many ranks: not
+// while fewer than gangRange's need are idle, and then on its want —
+// except that WeightedFair sizes the gang by fair share against every job
+// in the system and molds it onto the idle ranks rather than wait, never
+// below the floor.
+func (s *Scheduler) gangFor(rec *jobRec) (int, bool) {
+	need, want := s.gangRange(rec)
+	if s.nFree < need {
 		return 0, false
 	}
-	return 0, false
+	if s.pol.Kind == WeightedFair {
+		return min(max(s.fairShare(rec), need), s.nFree), true
+	}
+	return want, true
 }
 
 // fairShare is rec's WeightedFair allocation against every job currently
@@ -685,10 +671,10 @@ func (s *Scheduler) finish(rec *jobRec, tr *core.Trace) {
 	rec.Finish = s.eng.Now()
 	rec.Trace = tr
 	s.setState(rec, false, false)
-	if s.OnDone != nil {
-		s.OnDone(rec.ID, tr, rec.err)
-	}
 	s.releaseRanks(rec)
+	if s.OnDone != nil {
+		s.OnDone(rec.ID, rec.job, tr, rec.err)
+	}
 }
 
 // releaseRanks frees rec's whole lease.

@@ -461,7 +461,7 @@ func TestIncrementalSubmitCancel(t *testing.T) {
 	defer s.Close()
 	var started, done []int
 	s.OnStart = func(id int, gang []int) { started = append(started, id) }
-	s.OnDone = func(id int, tr *core.Trace, err error) {
+	s.OnDone = func(id int, _ core.Runnable, tr *core.Trace, err error) {
 		if err != nil {
 			t.Errorf("job %d failed: %v", id, err)
 		}

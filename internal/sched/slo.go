@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/des"
@@ -12,10 +13,12 @@ import (
 // blocked queue head, checkpoint-preemption of running gangs for higher
 // classes, and elastic grow-back of molded gangs. Every job answers the
 // two questions these paths ask of it — core.Runnable's EstimateCost (the
-// cost model) and PreemptLaunch (the chunk-boundary checkpoint) — so each
-// behaviour has one code path. Everything here is opt-in — with
-// zero-valued Policy and JobSpec SLO fields none of these paths run, and
-// the scheduler behaves byte-for-byte as before.
+// cost model) and PreemptLaunch (the chunk-boundary checkpoint) — every
+// path sizes a job by the policy's one gang rule (gangRange), and the
+// reservation walk always yields a start, so each behaviour has one code
+// path. Everything here is opt-in — with zero-valued Policy and JobSpec
+// SLO fields none of these paths run, and the scheduler behaves
+// byte-for-byte as before.
 
 // gangEst is one remembered answer of the cost model.
 type gangEst struct {
@@ -39,54 +42,18 @@ func (s *Scheduler) estimate(rec *jobRec, gang int) des.Time {
 	return est
 }
 
-// nominalSize is the gang a job is priced at for admission prediction:
-// the size it would receive on an otherwise idle cluster.
-func (s *Scheduler) nominalSize(rec *jobRec) int {
-	if s.pol.Kind == FixedShare && rec.Want > s.pol.Share {
-		return s.pol.Share
-	}
-	return rec.Want
-}
-
-// needFor is the idle-rank count rec needs before it can start: the
-// whole machine under FIFOExclusive, the capped request under
-// FixedShare, and the moldable floor under WeightedFair.
-func (s *Scheduler) needFor(rec *jobRec) int {
-	switch s.pol.Kind {
-	case FIFOExclusive:
-		return s.cl.Ranks()
-	case FixedShare:
-		if rec.Want > s.pol.Share {
-			return s.pol.Share
-		}
-		return rec.Want
-	case WeightedFair:
-		floor := rec.minGang
-		if rec.floorGang > floor {
-			floor = rec.floorGang
-		}
-		if floor > rec.Want {
-			floor = rec.Want
-		}
-		if floor < 1 {
-			floor = 1
-		}
-		return floor
-	}
-	return rec.Want
-}
-
 // reserveStart predicts when `need` ranks will be idle, by walking the
 // running jobs' predicted completions (admit + estimate for the granted
 // gang, clamped to now when a job overruns its estimate) in end order
-// and accumulating their leases onto the current idle set. ok is false
-// when even every running gang's release would not free `need` ranks —
-// no reservation can then be made.
-func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
+// and accumulating their leases onto the current idle set. The walk
+// always yields a start: every rank is idle or leased by a running job,
+// so after the last release the whole machine is idle, and no gang's
+// need exceeds it (validateSpec caps Want, Policy.Validate caps Share).
+func (s *Scheduler) reserveStart(need int) des.Time {
 	now := s.eng.Now()
 	avail := s.nFree
 	if avail >= need {
-		return now, true
+		return now
 	}
 	type release struct {
 		at    des.Time
@@ -107,41 +74,36 @@ func (s *Scheduler) reserveStart(need int) (des.Time, bool) {
 	for _, e := range ends {
 		avail += e.ranks
 		if avail >= need {
-			return e.at, true
+			return e.at
 		}
 	}
-	return 0, false
+	panic(fmt.Sprintf("sched: reserving %d ranks, %d idle once every lease is released (lease invariant broken)", need, avail))
 }
 
 // predictLatency is the admission-time SLO check: predicted start (the
 // reservation walk over running gangs, plus the machine share of every
 // queued job that will be served first) plus the cost-model service time
-// at nominal gang size. Queued jobs at or above rec's class precede it
-// in the class-ordered queue; charging each est·need/ranks is exact
+// on the gang rec wants. Queued jobs at or above rec's class precede it
+// in the class-ordered queue; charging each est(want)·need/ranks is exact
 // serialization under FIFOExclusive and a work-conserving approximation
 // under the sharing policies. It still ignores future arrivals — it is
 // an advisory admission filter, not a simulation; the serve layer
-// reports actual attainment. ok is false when no reservation can be
-// made (reserveStart), and the job is then admitted unchecked.
-func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
+// reports actual attainment.
+func (s *Scheduler) predictLatency(rec *jobRec) des.Time {
+	need, want := s.gangRange(rec)
 	var wait des.Time
-	blocked := len(s.queue) > 0 || s.nFree < s.needFor(rec) ||
-		(s.pol.Kind == FIFOExclusive && len(s.running) > 0)
-	if blocked {
-		at, ok := s.reserveStart(s.needFor(rec))
-		if !ok {
-			return 0, false
-		}
-		wait = at - s.eng.Now()
+	if len(s.queue) > 0 || s.nFree < need {
+		wait = s.reserveStart(need) - s.eng.Now()
 		ranks := des.Time(s.cl.Ranks())
 		for _, q := range s.queue {
 			if q.Class < rec.Class {
 				continue
 			}
-			wait += s.estimate(q, s.nominalSize(q)) * des.Time(s.needFor(q)) / ranks
+			qNeed, qWant := s.gangRange(q)
+			wait += s.estimate(q, qWant) * des.Time(qNeed) / ranks
 		}
 	}
-	return wait + s.estimate(rec, s.nominalSize(rec)), true
+	return wait + s.estimate(rec, want)
 }
 
 // preemptFor checkpoints enough running lower-class gangs to fit the
@@ -152,7 +114,7 @@ func (s *Scheduler) predictLatency(rec *jobRec) (des.Time, bool) {
 // when the head's class outranks nothing useful, or when even preempting
 // every candidate would not free enough ranks.
 func (s *Scheduler) preemptFor(head *jobRec) bool {
-	need := s.needFor(head)
+	need, _ := s.gangRange(head)
 	avail := s.nFree
 	draining := false
 	for _, r := range s.running {
@@ -316,25 +278,14 @@ func (s *Scheduler) PreemptCancel(id int) bool {
 	return true
 }
 
-// Rejected reports whether the SLO admission check turned the job away
-// at arrival.
-func (s *Scheduler) Rejected(id int) bool {
-	return id >= 0 && id < len(s.recs) && s.recs[id].rejected
-}
-
-// Downgraded reports whether the SLO admission check demoted the job to
-// Batch (JobSpec.DowngradeOnMiss) instead of rejecting it.
-func (s *Scheduler) Downgraded(id int) bool {
-	return id >= 0 && id < len(s.recs) && s.recs[id].Downgraded
-}
-
-// QueuedCost sums the cost-model estimates of every queued job at its
-// nominal gang size — the serve layer's Retry-After drain hint. Must be
+// QueuedCost sums the cost-model estimates of every queued job on the
+// gang it wants — the serve layer's Retry-After drain hint. Must be
 // called at engine time.
 func (s *Scheduler) QueuedCost() des.Time {
 	var t des.Time
 	for _, rec := range s.queue {
-		t += s.estimate(rec, s.nominalSize(rec))
+		_, want := s.gangRange(rec)
+		t += s.estimate(rec, want)
 	}
 	return t
 }

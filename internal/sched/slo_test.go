@@ -315,7 +315,7 @@ func TestPreemptCancelRunningJob(t *testing.T) {
 		requeued = append(requeued, id)
 		requeueCancelled = append(requeueCancelled, cancelled)
 	}
-	s.OnDone = func(id int, tr *core.Trace, err error) { done = append(done, id) }
+	s.OnDone = func(id int, _ core.Runnable, tr *core.Trace, err error) { done = append(done, id) }
 	s.Engine().Spawn("driver", func(p *des.Proc) {
 		id, err := s.Submit(JobSpec{Job: makeJob("victim", 8, 16, 512)})
 		if err != nil {

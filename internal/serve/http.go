@@ -9,7 +9,6 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -29,13 +28,9 @@ type HandlerConfig struct {
 // handshake, and output retrieval — that lets a gpmrfleet router treat
 // this server as one shard of many.
 type handler struct {
-	sv  *Server
-	cfg HandlerConfig
-
-	drainOnce sync.Once
-	drainDone chan struct{}
-	drainResp DrainResponse
-	drainErr  error
+	sv      *Server
+	cfg     HandlerConfig
+	onDrain sync.Once // fires cfg.OnDrain after the first answered drain
 }
 
 // DrainResponse is the drain handshake's answer: the shard's fleet
@@ -92,7 +87,7 @@ func NewHandler(sv *Server, cfg HandlerConfig) http.Handler {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	h := &handler{sv: sv, cfg: cfg, drainDone: make(chan struct{})}
+	h := &handler{sv: sv, cfg: cfg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", h.submit)
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
@@ -137,17 +132,14 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case info.State != Rejected:
 		h.writeJSON(w, http.StatusAccepted, info)
-	case strings.HasPrefix(info.Reason, "shed:") || strings.HasPrefix(info.Reason, "quota:"):
-		// Backpressure: the client should retry once the backlog has
-		// plausibly drained — the admission path predicts that from the
-		// queued jobs' cost-model estimates (JobInfo.RetryAfter, wall
-		// seconds), so a deep backlog pushes retries further out than a
-		// shallow one.
-		retry := info.RetryAfter
-		if retry < 1 {
-			retry = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
+	case info.RetryAfter > 0:
+		// Backpressure (a shed or quota reject, the only ones that carry a
+		// hint): the client should retry once the backlog has plausibly
+		// drained — the admission path predicts that from the queued jobs'
+		// cost-model estimates (JobInfo.RetryAfter, wall seconds, at least
+		// 1), so a deep backlog pushes retries further out than a shallow
+		// one.
+		w.Header().Set("Retry-After", strconv.Itoa(info.RetryAfter))
 		h.writeJSON(w, http.StatusTooManyRequests, info)
 	default:
 		h.writeJSON(w, http.StatusBadRequest, info)
@@ -306,27 +298,20 @@ func (h *handler) register(w http.ResponseWriter, r *http.Request) {
 	h.writeJSON(w, http.StatusOK, reg)
 }
 
+// drain answers the drain handshake. Server.Drain runs once and hands
+// every caller, concurrent ones included, the same report.
 func (h *handler) drain(w http.ResponseWriter, r *http.Request) {
-	h.drainOnce.Do(func() {
-		defer close(h.drainDone)
-		rep, err := h.sv.Drain()
-		if err != nil {
-			h.drainErr = err
-			return
-		}
-		h.drainResp = rep.DrainResponse(h.sv.FleetID())
-		if h.cfg.OnDrain != nil {
-			// On a fresh goroutine: the host's shutdown path may wait for
-			// this very handler to return.
-			go h.cfg.OnDrain()
-		}
-	})
-	<-h.drainDone
-	if h.drainErr != nil {
-		h.httpError(w, http.StatusInternalServerError, h.drainErr.Error())
+	rep, err := h.sv.Drain()
+	if err != nil {
+		h.httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	h.writeJSON(w, http.StatusOK, h.drainResp)
+	h.writeJSON(w, http.StatusOK, rep.DrainResponse(h.sv.FleetID()))
+	if h.cfg.OnDrain != nil {
+		// On a fresh goroutine: the host's shutdown path may wait for
+		// this very handler to return.
+		h.onDrain.Do(func() { go h.cfg.OnDrain() })
+	}
 }
 
 func (h *handler) writeJSON(w http.ResponseWriter, code int, v any) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/sched"
 )
@@ -221,6 +222,100 @@ func TestOutputRetentionEviction(t *testing.T) {
 		t.Fatalf("retained output: status %d, %d bytes", resp.StatusCode, len(out))
 	}
 	sv.Drain()
+}
+
+// holdJob is placed like any job and then holds its gang until the
+// engine drains: it never finishes, so every answer a later submission
+// gets follows from admission alone, never from how far the live engine
+// has run.
+type holdJob struct{ name string }
+
+func (j holdJob) RunName() string                                                        { return j.name }
+func (j holdJob) GangWant() int                                                          { return 4 }
+func (j holdJob) ValidateJob() error                                                     { return nil }
+func (j holdJob) LaunchOn(*des.Engine, *cluster.Cluster, []int, func(*core.Trace)) error { return nil }
+func (j holdJob) PreemptLaunch() bool                                                    { return false }
+func (j holdJob) EstimateCost(*cluster.Cluster, int) des.Time                            { return des.Second }
+func (j holdJob) OutputDigest() (uint64, bool)                                           { return 0, true }
+func (j holdJob) RenderOutput(io.Writer) error                                           { return nil }
+
+// TestSubmitStatusFollowsTheDecision pins the submit endpoint's status
+// mapping: a reject that carries a retry hint (shed, quota) is a 429 with
+// that hint as Retry-After; every other reject (invalid, SLO) is a 400.
+func TestSubmitStatusFollowsTheDecision(t *testing.T) {
+	cat := NewCatalog(testPhys)
+	cat.Register("hold", Builder{Build: func(name string, _ Params) (core.Runnable, error) {
+		return holdJob{name}, nil
+	}})
+	sv := startTestServer(t, Config{Cluster: cluster.DefaultConfig(4), Catalog: cat, MaxQueue: 2, Quota: 1})
+	defer sv.Drain()
+	hs := httptest.NewServer(NewHandler(sv, HandlerConfig{Logf: quietLogf}))
+	defer hs.Close()
+
+	for i, c := range []struct {
+		req    Request
+		code   int
+		reason string
+	}{
+		{Request{Tenant: "a", Kind: "hold"}, http.StatusAccepted, ""},                    // holds all 4 ranks
+		{Request{Tenant: "a", Kind: "hold"}, http.StatusTooManyRequests, "quota:"},       // a is at its cap
+		{Request{Tenant: "e", Kind: "hold", Deadline: 1}, http.StatusBadRequest, "slo:"}, // predicted miss
+		{Request{Tenant: "x", Kind: "nope"}, http.StatusBadRequest, "unknown job kind"},
+		{Request{Tenant: "b", Kind: "hold"}, http.StatusAccepted, ""}, // waits, depth 1
+		{Request{Tenant: "c", Kind: "hold"}, http.StatusAccepted, ""}, // waits, depth 2
+		{Request{Tenant: "d", Kind: "hold"}, http.StatusTooManyRequests, "shed:"},
+	} {
+		resp, body := postJSON(t, hs.URL+"/jobs", c.req)
+		var info JobInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatalf("submission %d: decoding %s: %v", i, body, err)
+		}
+		if resp.StatusCode != c.code || !strings.Contains(info.Reason, c.reason) {
+			t.Fatalf("submission %d: status %d reason %q, want %d with %q", i, resp.StatusCode, info.Reason, c.code, c.reason)
+		}
+		retry := resp.Header.Get("Retry-After")
+		switch {
+		case c.code == http.StatusTooManyRequests && (info.RetryAfter < 1 || retry != fmt.Sprint(info.RetryAfter)):
+			t.Errorf("submission %d: Retry-After %q, JobInfo.RetryAfter %d", i, retry, info.RetryAfter)
+		case c.code != http.StatusTooManyRequests && retry != "":
+			t.Errorf("submission %d: status %d carries Retry-After %q", i, c.code, retry)
+		}
+	}
+}
+
+// TestConcurrentDrainsShareOneAnswer: drain handshakes racing each other
+// all get the one report, and OnDrain fires once (it closes a channel, so
+// a second call would panic).
+func TestConcurrentDrainsShareOneAnswer(t *testing.T) {
+	sv := startTestServer(t, Config{})
+	drained := make(chan struct{})
+	hs := httptest.NewServer(NewHandler(sv, HandlerConfig{OnDrain: func() { close(drained) }, Logf: quietLogf}))
+	defer hs.Close()
+	bodies := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+"/drain", "application/json", nil)
+			if err != nil {
+				t.Errorf("drain %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("drain %d: status %d", i, resp.StatusCode)
+			}
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if len(b) == 0 || !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("drain %d answered %q, drain 0 %q", i, b, bodies[0])
+		}
+	}
+	<-drained
 }
 
 // TestGracefulShutdownRace is the drain-correctness proof for the

@@ -326,9 +326,8 @@ type session struct {
 	outOrder []int // completion order, for eviction
 
 	// Engine-confined (never read by foreign goroutines):
-	runnables []core.Runnable // by serve ID; dropped once digested
-	schedOf   []int           // serve ID → sched ID, -1 when never admitted
-	serveOf   map[int]int     // sched ID → serve ID
+	schedOf []int       // serve ID → sched ID, -1 when never admitted
+	serveOf map[int]int // sched ID → serve ID
 }
 
 func newSession(cfg Config) (*session, error) {
@@ -426,7 +425,6 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		Tag: req.Tag, TraceID: req.TraceID, Arrival: now,
 		Weight: req.Weight, MinGang: req.MinGang, Downgrade: req.Downgrade, Elastic: req.Elastic,
 	}
-	ses.runnables = append(ses.runnables, nil)
 	ses.schedOf = append(ses.schedOf, -1)
 	if r := ses.cl.Obs; r.Enabled() {
 		// The trace attr ties this job's streams to the fleet-level causal
@@ -461,7 +459,6 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 
 	reject := func(reason, class string, counter *int64) JobInfo {
 		ses.move(info, Rejected)
-		ses.runnables[id] = nil
 		info.Reason = reason
 		*counter = *counter + 1
 		ts.Rejected++
@@ -506,16 +503,16 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	// it to Queued first and let the hook move it on. The hooks re-lock
 	// mu; release it across the call.
 	ses.move(info, Queued)
-	ses.runnables[id] = run
 	ses.mu.Unlock()
 	// Register first so the sched↔serve ID maps are in place before
 	// Arrive runs admission — OnStart can fire synchronously from it.
+	var sloRejected, downgraded bool
 	schedID, err := ses.sch.Register(sched.JobSpec{Job: run, Weight: req.Weight, MinGang: req.MinGang,
 		Class: cls, Deadline: req.Deadline, DowngradeOnMiss: req.Downgrade, Elastic: req.Elastic})
 	if err == nil {
 		ses.schedOf[id] = schedID
 		ses.serveOf[schedID] = id
-		ses.sch.Arrive(schedID)
+		sloRejected, downgraded = ses.sch.Arrive(schedID)
 	}
 	ses.mu.Lock()
 	if err != nil {
@@ -523,7 +520,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 		// refused it (e.g. it wants more ranks than the cluster has).
 		return reject(err.Error(), "invalid", &ses.stats.RejectedInvalid)
 	}
-	if ses.sch.Rejected(schedID) {
+	if sloRejected {
 		// The SLO admission check predicted a deadline miss and turned the
 		// job away at arrival.
 		if cs != nil {
@@ -534,7 +531,7 @@ func (ses *session) arrive(now des.Time, req Request) JobInfo {
 	}
 	ses.stats.Admitted++
 	ts.Admitted++
-	info.Downgraded = ses.sch.Downgraded(schedID)
+	info.Downgraded = downgraded
 	return *info
 }
 
@@ -578,7 +575,6 @@ func (ses *session) cancel(now des.Time, id int) bool {
 		if r := ses.cl.Obs; r.Enabled() {
 			r.Emit(int64(now), obs.CatSim, "serve/"+info.Name, "cancel")
 		}
-		ses.runnables[id] = nil
 		ses.mu.Lock()
 		defer ses.mu.Unlock()
 		ses.vnow = now
@@ -621,9 +617,6 @@ func (ses *session) onRequeue(schedID int, cancelled bool) {
 	id := ses.serveOf[schedID]
 	info := ses.jobs[id]
 	now := ses.eng.Now()
-	if cancelled {
-		ses.runnables[id] = nil
-	}
 	ses.mu.Lock()
 	defer ses.mu.Unlock()
 	ses.vnow = now
@@ -638,10 +631,10 @@ func (ses *session) onRequeue(schedID int, cancelled bool) {
 	info.Granted = 0
 }
 
-// onDone is the scheduler's completion hook: extract the output digest,
-// drop the job's runnable (a long-running service must not accumulate
-// results), and settle the counters.
-func (ses *session) onDone(schedID int, tr *core.Trace, err error) {
+// onDone is the scheduler's completion hook: extract the output digest
+// (and, when retained, the rendered output) from the finished job and
+// settle the counters.
+func (ses *session) onDone(schedID int, job core.Runnable, tr *core.Trace, err error) {
 	id := ses.serveOf[schedID]
 	info := ses.jobs[id]
 	now := ses.eng.Now()
@@ -649,15 +642,14 @@ func (ses *session) onDone(schedID int, tr *core.Trace, err error) {
 	var hasDigest bool
 	var output string
 	if err == nil {
-		digest, hasDigest = ses.runnables[id].OutputDigest()
+		digest, hasDigest = job.OutputDigest()
 		if ses.cfg.KeepOutputs > 0 {
 			var sb strings.Builder
-			if ses.runnables[id].RenderOutput(&sb) == nil {
+			if job.RenderOutput(&sb) == nil {
 				output = sb.String()
 			}
 		}
 	}
-	ses.runnables[id] = nil
 
 	ses.mu.Lock()
 	defer ses.mu.Unlock()

@@ -74,8 +74,8 @@ func TestStatsMatchJobTable(t *testing.T) {
 		starts[ses.serveOf[id]] = append(starts[ses.serveOf[id]], len(gang))
 		check(fmt.Sprintf("start of job %d", ses.serveOf[id]))
 	}
-	ses.sch.OnDone = func(id int, tr *core.Trace, err error) {
-		onDone(id, tr, err)
+	ses.sch.OnDone = func(id int, job core.Runnable, tr *core.Trace, err error) {
+		onDone(id, job, tr, err)
 		check(fmt.Sprintf("done of job %d", ses.serveOf[id]))
 	}
 	ses.sch.OnRequeue = func(id int, cancelled bool) {

@@ -8,7 +8,12 @@
 #   4. drain via SIGINT and capture the live report from stdout,
 #   5. replay the recorded arrival trace offline,
 #   6. diff the two reports byte for byte.
+# Arguments are the daemon's policy flags (default: -policy weighted-fair),
+# e.g. `scripts/gpmrd_smoke.sh -policy fifo-exclusive -reserve`.
 set -euo pipefail
+
+policy=("$@")
+[ "${#policy[@]}" -gt 0 ] || policy=(-policy weighted-fair)
 
 cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
@@ -18,7 +23,7 @@ addr="127.0.0.1:8373"
 base="http://$addr"
 
 go build -o "$workdir/gpmrd" ./cmd/gpmrd
-"$workdir/gpmrd" -addr "$addr" -gpus 8 -policy weighted-fair -queue 8 -quota 4 \
+"$workdir/gpmrd" -addr "$addr" -gpus 8 "${policy[@]}" -queue 8 -quota 4 \
   -phys 4096 -timescale 20 -trace "$workdir/trace.jsonl" \
   >"$workdir/live.out" 2>"$workdir/live.log" &
 pid=$!
@@ -111,12 +116,19 @@ fi
 wait "$pid"
 
 # The header records what the operator asked for: -share is a fixed-share
-# knob, so a weighted-fair trace must not carry its default.
-if head -n 1 "$workdir/trace.jsonl" | grep -q '"share"'; then
-  echo "weighted-fair trace header records a fixed-share cap:"
-  head -n 1 "$workdir/trace.jsonl"
+# knob, so no other policy's trace may carry its default, and -reserve
+# must be recorded for the replay to take the same reservations.
+head -n 1 "$workdir/trace.jsonl" >"$workdir/header.json"
+if grep -q '"share"' "$workdir/header.json"; then
+  echo "${policy[*]} trace header records a fixed-share cap:"
+  cat "$workdir/header.json"
   exit 1
 fi
+case " ${policy[*]} " in
+  *" -reserve "*)
+    grep -qF '"reserve":true' "$workdir/header.json" || {
+      echo "trace header does not record -reserve:"; cat "$workdir/header.json"; exit 1; } ;;
+esac
 
 # Replay the recorded trace offline: the report must match byte for byte.
 "$workdir/gpmrd" -replay "$workdir/trace.jsonl" >"$workdir/replay.out"
@@ -125,4 +137,4 @@ if ! diff -u "$workdir/live.out" "$workdir/replay.out"; then
   exit 1
 fi
 
-echo "gpmrd smoke: live report matches offline replay ($(wc -l <"$workdir/live.out") lines)"
+echo "gpmrd smoke (${policy[*]}): live report matches offline replay ($(wc -l <"$workdir/live.out") lines)"
